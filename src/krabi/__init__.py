@@ -37,9 +37,11 @@ from .spectra import (
     EvolutionSpec,
     SweepSpec,
     evolve,
+    ground_state,
     sector_spectrum,
     sweep,
     sweep_csv,
+    trajectory_chunks,
     trajectory_csv,
 )
 
@@ -70,6 +72,7 @@ __all__ = [
     "evolve",
     "generalized_parity",
     "generalized_parity_signs",
+    "ground_state",
     "number",
     "partial_parity",
     "partial_parity_signs",
@@ -80,6 +83,7 @@ __all__ = [
     "similarity_transform",
     "sweep",
     "sweep_csv",
+    "trajectory_chunks",
     "trajectory_csv",
     "two_photon_parity",
     "two_photon_parity_signs",

@@ -2,10 +2,12 @@
 
 Subcommands: verify, parity-table, spectrum, sweep, evolve. Output goes to
 stdout unless --out FILE is given. Exit codes: 0 success, 1 verification
-failure (relative residual above tolerance), 2 usage or validation error.
-Every error path prints a single line "error: <reason>" to stderr. Floats
-in CSV output use 17 significant digits in scientific notation, so
-identical invocations produce byte-identical output.
+failure (the report's "passed" is false: relative residual, involution or
+intertwining check above tolerance), 2 usage or validation error. Every
+error path prints a single line "error: <reason>" to stderr. Floats in CSV
+output use 17 significant digits in scientific notation, so identical
+invocations produce byte-identical output. A flag may take a negative
+number after a space (--g -0.1+0.2i, --alpha -1e-3).
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from .spectra import (
     EvolutionSpec,
     SweepSpec,
     evolve,
+    ground_state,
     sector_spectrum,
     sweep,
     sweep_csv,
-    trajectory_csv,
+    trajectory_chunks,
 )
 
 _FLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -125,12 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
+    """Write text chunks, as they are produced, to ``out`` or stdout."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _params_from(args) -> ModelParams:
@@ -151,8 +155,8 @@ def _cmd_verify(args) -> int:
     )
     if args.dump is not None:
         dump_matrix(residual(blocks, x), args.dump)
-    _emit(report.to_json() + "\n", args.out)
-    return 0 if report.relative_residual <= args.tol else 1
+    _emit([report.to_json() + "\n"], args.out)
+    return 0 if report.passed else 1
 
 
 def _cmd_parity_table(args) -> int:
@@ -168,16 +172,20 @@ def _cmd_parity_table(args) -> int:
         n, l = sd.sector_of[p]
         sign = -1 if n % 2 else 1
         lines.append(f"{p},{n},{l},{sign:+d}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     params = _params_from(args)
-    w_top, w_bottom = sector_spectrum(params, args.levels, tol=args.tol)
+    if args.levels > params.dim:
+        raise ShapeError(
+            f"levels must satisfy 1 <= levels <= dim = {params.dim}, got {args.levels}"
+        )
     # Deviation is measured over the complete spectra, not just the
     # reported lowest levels.
     full_top, full_bottom = sector_spectrum(params, params.dim, tol=args.tol)
+    w_top, w_bottom = full_top[: args.levels], full_bottom[: args.levels]
     merged = np.sort(np.concatenate([full_top, full_bottom]))
     full = eig_hermitian(build_full(params))[0]
     deviation = float(np.max(np.abs(merged - full)))
@@ -186,7 +194,7 @@ def _cmd_spectrum(args) -> int:
         lines.append(f"+,{i},{w:.16e}")
     for i, w in enumerate(w_bottom):
         lines.append(f"-,{i},{w:.16e}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
@@ -195,7 +203,7 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(base=params, param=args.param, lo=args.lo, hi=args.hi,
                      steps=args.steps, levels=args.levels)
     rows = sweep(spec, tol=args.tol, jobs=args.jobs)
-    _emit(sweep_csv(rows), args.out)
+    _emit([sweep_csv(rows)], args.out)
     return 0
 
 
@@ -205,22 +213,34 @@ def _cmd_evolve(args) -> int:
         print(f"error: t-max must be positive and finite, got {args.t_max}", file=sys.stderr)
         return 2
     if args.state == "ground":
-        _, vectors = eig_hermitian(build_full(params))
-        state = np.ascontiguousarray(vectors[:, 0])
-        state = state / np.linalg.norm(state)
+        state = ground_state(params, tol=args.tol)
     else:
         state = load_vector(args.state)
     spec = EvolutionSpec(initial_state=state, dt=args.t_max / args.steps, steps=args.steps)
     times, states = evolve(params, spec, tol=args.tol)
-    _emit(trajectory_csv(times, states), args.out)
+    _emit(trajectory_chunks(times, states), args.out)
     return 0
+
+
+def _attach_negative_numbers(argv: list[str]) -> list[str]:
+    # argparse reads "-1e-3" or "-0.1+0.2i" after a flag as another flag;
+    # "--flag=value" is unambiguous.
+    merged = []
+    for token in argv:
+        if (merged and merged[-1].startswith("--") and "=" not in merged[-1]
+                and token.startswith("-") and _COMPLEX_RE.match(token)):
+            merged[-1] = f"{merged[-1]}={token}"
+        else:
+            merged.append(token)
+    return merged
 
 
 def run(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_numbers(argv))
     except SystemExit as exc:
         # argparse --help exits 0; our error() raises SystemExit(2).
         return int(exc.code or 0)

@@ -101,8 +101,11 @@ class VerificationReport:
         return {
             "residual_norm": self.residual_norm,
             "relative_residual": self.relative_residual,
+            "involution_defect": self.involution_defect,
+            "intertwining_defect": self.intertwining_defect,
             "is_involution": self.is_involution,
             "intertwines": self.intertwines,
+            "passed": self.passed,
             "spectra_match": self.spectra_match,
             "params": params,
             "tolerance": self.tolerance,

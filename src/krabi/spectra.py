@@ -10,23 +10,30 @@ Time evolution uses eigendecomposition rather than ODE stepping, so there
 is no step-size parameter to tune: the state is rotated into the block
 frame with the closed-form inverse transform, each block component picks
 up exact phase factors exp(-i*w*t), and the result is rotated back. The
-transform is not unitary (it is sqrt(2) times a unitary), so block-frame
-norms differ from physical norms, but the returned physical-frame states
-stay normalized to roundoff.
+parity is diagonal with entries +-1, so both frame changes are
+elementwise sign flips on the sign vector s:
+
+    block frame:    ((psi_u + s*psi_l) / 2, (psi_l - s*psi_u) / 2)
+    physical frame: (b_u - s*b_l, s*b_u + b_l)
+
+The transform is not unitary (it is sqrt(2) times a unitary), so
+block-frame norms differ from physical norms, but the returned
+physical-frame states stay normalized to roundoff.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, SolutionError
 from .linalg import eig_hermitian
 from .model import ModelParams, build_blocks
 from .parity import generalized_parity
-from .riccati import DEFAULT_TOLERANCE, block_diagonalize, similarity_transform
+from .riccati import DEFAULT_TOLERANCE, block_diagonalize
 
 _SWEEPABLE = ("g", "alpha", "omega")
 
@@ -167,6 +174,39 @@ def sweep_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parity_signs(x: np.ndarray) -> np.ndarray:
+    # x is the diagonal generalized parity. A diagonal x is a Hermitian
+    # involution exactly when its diagonal is real +-1: this is the O(dim)
+    # form of similarity_transform's check.
+    diagonal = np.diagonal(x)
+    signs = diagonal.real.copy()
+    if np.any(diagonal.imag != 0) or np.any(np.abs(signs) != 1):
+        raise SolutionError("parity diagonal is not a real +-1 vector")
+    return signs
+
+
+def _block_eigensystem(params: ModelParams, tol: float):
+    _, x, top, bottom = _verified_blocks(params, tol)
+    return _parity_signs(x), eig_hermitian(top), eig_hermitian(bottom)
+
+
+def ground_state(params: ModelParams, *, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
+    """Normalized ground state of the full 2*dim Hamiltonian, from the blocks.
+
+    The lowest eigenpair of the two decoupled blocks is the ground state:
+    an eigenvector u of the top block maps to [u; s*u] / sqrt(2), one of the
+    bottom block to [-s*u; u] / sqrt(2). Ties go to the top block.
+    """
+    signs, (w_top, v_top), (w_bottom, v_bottom) = _block_eigensystem(params, tol)
+    if w_top[0] <= w_bottom[0]:
+        u = v_top[:, 0]
+        state = np.concatenate([u, signs * u])
+    else:
+        u = v_bottom[:, 0]
+        state = np.concatenate([-signs * u, u])
+    return state / np.sqrt(2.0)
+
+
 def evolve(
     params: ModelParams,
     spec: EvolutionSpec,
@@ -182,18 +222,16 @@ def evolve(
     roundoff even though the block frame rescales norms.
     """
     state = spec.initial_state
-    if state.size != 2 * params.dim:
+    dim = params.dim
+    if state.size != 2 * dim:
         raise ShapeError(
-            f"initial state has length {state.size}, expected 2*dim = {2 * params.dim}"
+            f"initial state has length {state.size}, expected 2*dim = {2 * dim}"
         )
-    _, x, top, bottom = _verified_blocks(params, tol)
-    s, s_inv = similarity_transform(x)
-    w_top, v_top = eig_hermitian(top)
-    w_bottom, v_bottom = eig_hermitian(bottom)
+    signs, (w_top, v_top), (w_bottom, v_bottom) = _block_eigensystem(params, tol)
 
-    rotated = s_inv @ state
-    coeff_top = v_top.conj().T @ rotated[: params.dim]
-    coeff_bottom = v_bottom.conj().T @ rotated[params.dim :]
+    upper, lower = state[:dim], state[dim:]
+    coeff_top = v_top.conj().T @ ((upper + signs * lower) / 2)
+    coeff_bottom = v_bottom.conj().T @ ((lower - signs * upper) / 2)
 
     times = np.arange(spec.steps + 1, dtype=np.float64) * spec.dt
     # (dim, n_times) phase tables; columns are grid times.
@@ -201,16 +239,36 @@ def evolve(
     phases_bottom = np.exp(-1j * np.outer(w_bottom, times))
     block_top = v_top @ (coeff_top[:, None] * phases_top)
     block_bottom = v_bottom @ (coeff_bottom[:, None] * phases_bottom)
-    states = (s @ np.vstack([block_top, block_bottom])).T
-    states = np.ascontiguousarray(states)
+    column = signs[:, None]
+    states = np.empty((times.size, 2 * dim), dtype=np.complex128)
+    states[:, :dim] = (block_top - column * block_bottom).T
+    states[:, dim:] = (column * block_top + block_bottom).T
     states[0] = state  # t = 0 is the input, exactly
     return times, states
 
 
+_TRAJECTORY_HEADER = "t,component_index,re,im\n"
+#: Stands for the time in a row template; no formatted float contains it.
+_TIME_SLOT = "T"
+
+
+def trajectory_chunks(times, states) -> Iterator[str]:
+    """Trajectory CSV as text chunks: the header, then one chunk per time.
+
+    Joined, the chunks are :func:`trajectory_csv`. Each time step is a single
+    format call on a row template that has the component indices baked in.
+    """
+    states = np.ascontiguousarray(states, dtype=np.complex128)
+    template = "".join(
+        f"{_TIME_SLOT},{idx},%.16e,%.16e\n" for idx in range(states.shape[-1])
+    )
+    yield _TRAJECTORY_HEADER
+    for t, state in zip(times, states):
+        yield template.replace(_TIME_SLOT, f"{t:.16e}") % tuple(
+            state.view(np.float64).tolist()
+        )
+
+
 def trajectory_csv(times, states) -> str:
     """CSV text for a trajectory: header t,component_index,re,im."""
-    lines = ["t,component_index,re,im"]
-    for t, state in zip(times, states):
-        for idx, z in enumerate(state):
-            lines.append(f"{t:.16e},{idx},{z.real:.16e},{z.imag:.16e}")
-    return "\n".join(lines) + "\n"
+    return "".join(trajectory_chunks(times, states))

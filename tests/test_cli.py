@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from krabi import cli
 from krabi.cli import parse_complex, run
-from krabi.linalg import load_matrix
+from krabi.linalg import eig_hermitian, load_matrix
+from krabi.model import ModelParams, build_full
+from krabi.riccati import VerificationReport
+from krabi.spectra import sector_spectrum
 
 MODEL = ["--k", "2", "--dim", "12", "--alpha", "1", "--omega", "1", "--g", "0.5"]
 
@@ -85,6 +89,26 @@ class TestVerify:
         assert code == 0 and out == ""
         assert json.loads(open(path).read())["is_involution"] is True
 
+    def test_report_carries_defects_and_verdict(self, capsys):
+        code, out, _ = invoke(capsys, ["verify", *MODEL, "--candidate", "p"])
+        report = json.loads(out)
+        assert code == 1 and report["passed"] is False
+        assert report["involution_defect"] <= 1e-12
+        assert report["intertwining_defect"] > 1e-3
+
+    def test_exit_code_follows_passed_not_residual(self, capsys, monkeypatch):
+        def not_an_involution(blocks, x, **kwargs):
+            return VerificationReport(
+                residual_norm=0.0, relative_residual=0.0, involution_defect=1.0,
+                intertwining_defect=0.0, is_involution=False, intertwines=True,
+                tolerance=kwargs["tol"])
+
+        monkeypatch.setattr(cli, "verify_involution_solution", not_an_involution)
+        code, out, _ = invoke(capsys, ["verify", *MODEL])
+        report = json.loads(out)
+        assert report["relative_residual"] == 0.0 and report["is_involution"] is False
+        assert code == 1
+
 
 class TestParityTable:
     def test_alternating_signs(self, capsys):
@@ -116,6 +140,25 @@ class TestSpectrumAndSweep:
         assert deviation <= 1e-9
         assert lines[1] == "block,level,eigenvalue"
         assert len(lines) == 2 + 6
+
+    def test_spectrum_bytes_match_separate_lowest_levels(self, capsys):
+        levels = 4
+        code, out, _ = invoke(capsys, ["spectrum", *MODEL, "--levels", str(levels)])
+        assert code == 0
+        params = ModelParams(alpha=1.0, omega=1.0, g=0.5, k=2, dim=12)
+        w_top, w_bottom = sector_spectrum(params, levels)
+        merged = np.sort(np.concatenate(sector_spectrum(params, params.dim)))
+        deviation = float(np.max(np.abs(merged - eig_hermitian(build_full(params))[0])))
+        expected = [f"# max_full_spectrum_deviation = {deviation:.16e}",
+                    "block,level,eigenvalue"]
+        expected += [f"+,{i},{w:.16e}" for i, w in enumerate(w_top)]
+        expected += [f"-,{i},{w:.16e}" for i, w in enumerate(w_bottom)]
+        assert out == "\n".join(expected) + "\n"
+
+    def test_spectrum_too_many_levels(self, capsys):
+        code, _, err = invoke(capsys, ["spectrum", *MODEL, "--levels", "13"])
+        assert code == 2
+        assert err.startswith("error:") and "levels" in err
 
     def test_sweep_deterministic_bytes(self, capsys):
         argv = ["sweep", *MODEL, "--param", "g", "--lo", "0", "--hi", "0.4",
@@ -163,8 +206,49 @@ class TestEvolve:
         first_row = out.splitlines()[1].split(",")
         assert float(first_row[2]) == 1.0 and float(first_row[3]) == 0.0
 
+    def test_stdout_and_out_file_bytes_match(self, capsys, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        _, printed, _ = invoke(capsys, self.ARGS)
+        code, out, _ = invoke(capsys, self.ARGS + ["--out", str(path)])
+        assert code == 0 and out == ""
+        assert path.read_bytes() == printed.encode("ascii")
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_ground_state_is_lowest_eigenvector(self, capsys, k):
+        dim = 6 * k
+        code, out, _ = invoke(capsys, ["evolve", "--k", str(k), "--dim", str(dim),
+                                       "--alpha", "0.7", "--omega", "1.1", "--g", "0.2-0.1i",
+                                       "--t-max", "1", "--steps", "1"])
+        assert code == 0
+        rows = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
+        psi = rows[: 2 * dim, 2] + 1j * rows[: 2 * dim, 3]
+        h = build_full(ModelParams(alpha=0.7, omega=1.1, g=0.2 - 0.1j, k=k, dim=dim))
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(h @ psi - eig_hermitian(h)[0][0] * psi) <= 1e-10
+
     def test_missing_state_file(self, capsys):
         code, _, err = invoke(capsys, self.ARGS + ["--state", "/nonexistent/state.txt"])
+        assert code == 2
+        assert err.startswith("error:")
+
+
+class TestNegativeLiterals:
+    BASE = ["verify", "--k", "2", "--dim", "12", "--omega", "1"]
+
+    def test_negative_complex_coupling(self, capsys):
+        code, out, _ = invoke(capsys, [*self.BASE, "--alpha", "1", "--g", "-0.1+0.2i"])
+        assert code == 0
+        params = json.loads(out)["params"]
+        assert (params["g_re"], params["g_im"]) == (-0.1, 0.2)
+
+    def test_negative_exponent_gap(self, capsys):
+        code, out, _ = invoke(capsys, [*self.BASE, "--alpha", "-1e-3", "--g", "0.5"])
+        assert code == 0
+        assert json.loads(out)["params"]["alpha"] == -1e-3
+
+    def test_negative_integer_still_validated(self, capsys):
+        code, _, err = invoke(capsys, ["verify", "--k", "-1", "--dim", "4", "--alpha", "1",
+                                       "--omega", "1", "--g", "0.5"])
         assert code == 2
         assert err.startswith("error:")
 

@@ -115,8 +115,10 @@ class TestVerification:
         report = verify_involution_solution(build_blocks(params), bosonic_parity(8),
                                             params=params)
         data = report.to_dict()
-        assert list(data) == ["residual_norm", "relative_residual", "is_involution",
-                              "intertwines", "spectra_match", "params", "tolerance"]
+        assert list(data) == ["residual_norm", "relative_residual", "involution_defect",
+                              "intertwining_defect", "is_involution", "intertwines",
+                              "passed", "spectra_match", "params", "tolerance"]
+        assert data["passed"] is report.passed
         assert list(data["params"]) == ["alpha", "omega", "g_re", "g_im", "k", "dim"]
 
 

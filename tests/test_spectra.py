@@ -5,16 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from krabi.errors import ShapeError
+from krabi import spectra
+from krabi.errors import ShapeError, SolutionError
 from krabi.linalg import eig_hermitian
 from krabi.model import ModelParams, build_full
 from krabi.spectra import (
     EvolutionSpec,
     SweepSpec,
     evolve,
+    ground_state,
     sector_spectrum,
     sweep,
     sweep_csv,
+    trajectory_chunks,
     trajectory_csv,
 )
 
@@ -25,6 +28,21 @@ def full_propagated(params, state, t):
     """Oracle: evolve through the eigendecomposition of the full matrix."""
     w, v = eig_hermitian(build_full(params))
     return v @ (np.exp(-1j * w * t) * (v.conj().T @ state))
+
+
+def per_line_trajectory_csv(times, states):
+    """Reference formatter: one f-string per CSV row."""
+    lines = ["t,component_index,re,im"]
+    for t, state in zip(times, states):
+        for idx, z in enumerate(state):
+            lines.append(f"{t:.16e},{idx},{z.real:.16e},{z.imag:.16e}")
+    return "\n".join(lines) + "\n"
+
+
+def seeded_params(seed, k, dim):
+    rng = np.random.default_rng(seed)
+    return ModelParams(alpha=rng.random(), omega=0.5 + rng.random(),
+                       g=rng.random() * np.exp(2j * np.pi * rng.random()), k=k, dim=dim)
 
 
 class TestSectorSpectrum:
@@ -140,7 +158,8 @@ class TestEvolve:
         lower = states[:, 8:]
         assert np.max(np.abs(lower)) <= 1e-12
 
-    @pytest.mark.parametrize("seed,k,dim", [(0, 1, 8), (1, 2, 12), (2, 3, 12)])
+    @pytest.mark.parametrize("seed,k,dim", [(0, 1, 8), (1, 2, 12), (2, 3, 12),
+                                            (3, 1, 64), (4, 2, 64), (5, 3, 48), (6, 4, 64)])
     def test_matches_full_propagator(self, seed, k, dim):
         rng = np.random.default_rng(seed)
         params = ModelParams(alpha=rng.random(), omega=0.5 + rng.random(),
@@ -152,7 +171,20 @@ class TestEvolve:
         times, states = evolve(params, spec)
         for t, psi in zip(times[1:], states[1:]):
             oracle = full_propagated(params, state, t)
-            assert np.linalg.norm(psi - oracle) <= 1e-8
+            assert np.linalg.norm(psi - oracle) <= 1e-10
+
+    @pytest.mark.parametrize("bad", [2.0, 1j, -1.0 + 1e-15])
+    def test_rejects_parity_that_is_not_a_sign_vector(self, monkeypatch, bad):
+        params = ModelParams(alpha=0.4, omega=1.0, g=0.3, k=1, dim=4)
+        blocks, x, top, bottom = spectra._verified_blocks(params, 1e-12)
+        x = x.astype(complex)
+        x[2, 2] = bad
+        monkeypatch.setattr(spectra, "_verified_blocks", lambda *_: (blocks, x, top, bottom))
+        spec = EvolutionSpec(initial_state=self.basis_state(8, 0), dt=0.1, steps=2)
+        with pytest.raises(SolutionError, match="real"):
+            evolve(params, spec)
+        with pytest.raises(SolutionError, match="real"):
+            ground_state(params)
 
     def test_norm_drift_over_hundred_steps(self):
         params = ModelParams(alpha=0.6, omega=1.0, g=0.2 + 0.1j, k=2, dim=16)
@@ -181,3 +213,62 @@ class TestEvolve:
         lines = text.splitlines()
         assert lines[0] == "t,component_index,re,im"
         assert len(lines) == 1 + 3 * 4
+
+
+class TestGroundState:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_top_block_ground_state_is_lowest_eigenvector(self, k):
+        # The CLI tests cover alpha > 0, where the bottom block holds it.
+        params = seeded_params(k, k, 8 * k).replace(alpha=-0.6)
+        h = build_full(params)
+        w = eig_hermitian(h)[0]
+        psi = ground_state(params)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(h @ psi - w[0] * psi) <= 1e-10
+
+    def test_free_limit_vectors(self):
+        # At g = 0 the bottom block holds the ground state for alpha > 0.
+        params = ModelParams(alpha=0.5, omega=1.0, g=0.0, k=1, dim=4)
+        expected = np.zeros(8, dtype=complex)
+        expected[0], expected[4] = -1 / math.sqrt(2), 1 / math.sqrt(2)
+        assert np.allclose(ground_state(params), expected, rtol=0, atol=1e-15)
+        flipped = ground_state(params.replace(alpha=-0.5))
+        expected[0] = 1 / math.sqrt(2)
+        assert np.allclose(flipped, expected, rtol=0, atol=1e-15)
+
+
+class TestTrajectoryCsv:
+    TIMES = np.array([0.0, 0.125, 1e300])
+    EXTREME = np.array([
+        [-0.0, 1e-300, 1e300, -1e300 - 1e-300j],
+        [-0.0 - 0.0j, 5e-324j, -1e-300 + 1e300j, 1.0 / 3.0],
+        [np.pi - np.e * 1j, -0.0j, 2.0**-1074, -(2.0**1023)],
+    ], dtype=np.complex128)
+
+    def test_extreme_values_byte_identical(self):
+        assert trajectory_csv(self.TIMES, self.EXTREME) == \
+            per_line_trajectory_csv(self.TIMES, self.EXTREME)
+        assert "-0.0000000000000000e+00" in trajectory_csv(self.TIMES, self.EXTREME)
+
+    @pytest.mark.parametrize("layout", ["strided", "fortran", "complex64", "float64"])
+    def test_other_layouts_and_dtypes_byte_identical(self, layout):
+        wide = np.tile(self.EXTREME, (1, 2))
+        states = {
+            "strided": wide[:, ::2],
+            "fortran": np.asfortranarray(self.EXTREME),
+            "complex64": (self.EXTREME.real.clip(-1e30, 1e30) / 7).astype(np.complex64),
+            "float64": self.EXTREME.real,
+        }[layout]
+        assert trajectory_csv(self.TIMES, states) == per_line_trajectory_csv(self.TIMES, states)
+
+    def test_evolved_trajectory_byte_identical(self):
+        params = seeded_params(3, 2, 12)
+        spec = EvolutionSpec(initial_state=ground_state(params), dt=0.1, steps=7)
+        times, states = evolve(params, spec)
+        assert trajectory_csv(times, states) == per_line_trajectory_csv(times, states)
+
+    def test_chunks_are_header_then_one_per_time(self):
+        chunks = list(trajectory_chunks(self.TIMES, self.EXTREME))
+        assert chunks[0] == "t,component_index,re,im\n"
+        assert len(chunks) == 1 + len(self.TIMES)
+        assert all(chunk.count("\n") == self.EXTREME.shape[1] for chunk in chunks[1:])
