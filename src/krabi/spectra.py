@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._format import WORDS, format_fields
 from .errors import ShapeError, SolutionError
 from .linalg import eig_hermitian
 from .model import ModelParams, build_blocks
@@ -186,8 +187,25 @@ def _parity_signs(x: np.ndarray) -> np.ndarray:
 
 
 def _block_eigensystem(params: ModelParams, tol: float):
-    _, x, top, bottom = _verified_blocks(params, tol)
-    return _parity_signs(x), eig_hermitian(top), eig_hermitian(bottom)
+    # The model blocks and the dense parity are dropped before the eigensolves,
+    # and each block matrix once it is solved: a smaller peak working set.
+    x, top, bottom = _verified_blocks(params, tol)[1:]
+    signs = _parity_signs(x)
+    del x
+    eig_top = eig_hermitian(top)
+    del top
+    return signs, eig_top, eig_hermitian(bottom)
+
+
+def _ground_state(system) -> np.ndarray:
+    signs, (w_top, v_top), (w_bottom, v_bottom) = system
+    if w_top[0] <= w_bottom[0]:
+        u = v_top[:, 0]
+        state = np.concatenate([u, signs * u])
+    else:
+        u = v_bottom[:, 0]
+        state = np.concatenate([-signs * u, u])
+    return state / np.sqrt(2.0)
 
 
 def ground_state(params: ModelParams, *, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
@@ -197,14 +215,62 @@ def ground_state(params: ModelParams, *, tol: float = DEFAULT_TOLERANCE) -> np.n
     an eigenvector u of the top block maps to [u; s*u] / sqrt(2), one of the
     bottom block to [-s*u; u] / sqrt(2). Ties go to the top block.
     """
-    signs, (w_top, v_top), (w_bottom, v_bottom) = _block_eigensystem(params, tol)
-    if w_top[0] <= w_bottom[0]:
-        u = v_top[:, 0]
-        state = np.concatenate([u, signs * u])
-    else:
-        u = v_bottom[:, 0]
-        state = np.concatenate([-signs * u, u])
-    return state / np.sqrt(2.0)
+    return _ground_state(_block_eigensystem(params, tol))
+
+
+def _block_trajectories(system, state: np.ndarray, times: np.ndarray) -> list:
+    """v @ (c * exp(-i w t)) for each block, c the state's block-frame coefficients."""
+    signs, (w_top, v_top), (w_bottom, v_bottom) = system
+    dim = signs.size
+    upper, lower = state[:dim], state[dim:]
+    coeff_top = v_top.conj().T @ ((upper + signs * lower) / 2)
+    coeff_bottom = v_bottom.conj().T @ ((lower - signs * upper) / 2)
+    # Each block's phase table and its product with the coefficients share one
+    # (dim, n_times) buffer; columns are grid times.
+    work = np.empty((dim, times.size), dtype=np.complex128)
+    blocks = []
+    for w, v, coeff in ((w_top, v_top, coeff_top), (w_bottom, v_bottom, coeff_bottom)):
+        np.multiply(-1j, np.outer(w, times), out=work)
+        np.exp(work, out=work)
+        np.multiply(coeff[:, None], work, out=work)
+        blocks.append(v @ work)
+    return blocks
+
+
+def _check_length(params: ModelParams, spec: EvolutionSpec) -> None:
+    size = spec.initial_state.size
+    if size != 2 * params.dim:
+        raise ShapeError(f"initial state has length {size}, expected 2*dim = {2 * params.dim}")
+
+
+def _evolve(params: ModelParams, tol: float, spec_from):
+    """Evolve ``spec_from(eigensystem)`` through the blocks: ``(times, states_at)``.
+
+    ``states_at(start, stop)`` builds the physical-frame states of grid
+    times start .. stop - 1 from the two block trajectories. The eigensystem
+    is released before, and a caller that takes the states a block at a time
+    never holds the whole (n_times, 2*dim) array.
+    """
+    system = _block_eigensystem(params, tol)
+    spec = spec_from(system)
+    signs = system[0]
+    times = np.arange(spec.steps + 1, dtype=np.float64) * spec.dt
+    block_top, block_bottom = _block_trajectories(system, spec.initial_state, times)
+    del system
+    dim = signs.size
+    column = signs[:, None]
+
+    def states_at(start: int, stop: int) -> np.ndarray:
+        states = np.empty((stop - start, 2 * dim), dtype=np.complex128)
+        upper, lower = states[:, :dim].T, states[:, dim:].T
+        top, bottom = block_top[:, start:stop], block_bottom[:, start:stop]
+        np.subtract(top, np.multiply(column, bottom, out=upper), out=upper)
+        np.add(np.multiply(column, top, out=lower), bottom, out=lower)
+        if start == 0:
+            states[0] = spec.initial_state  # t = 0 is the input, exactly
+        return states
+
+    return times, states_at
 
 
 def evolve(
@@ -221,52 +287,76 @@ def evolve(
     block conjugation is exact, so the returned states keep unit norm to
     roundoff even though the block frame rescales norms.
     """
-    state = spec.initial_state
-    dim = params.dim
-    if state.size != 2 * dim:
-        raise ShapeError(
-            f"initial state has length {state.size}, expected 2*dim = {2 * dim}"
-        )
-    signs, (w_top, v_top), (w_bottom, v_bottom) = _block_eigensystem(params, tol)
+    _check_length(params, spec)
+    times, states_at = _evolve(params, tol, lambda system: spec)
+    return times, states_at(0, times.size)
 
-    upper, lower = state[:dim], state[dim:]
-    coeff_top = v_top.conj().T @ ((upper + signs * lower) / 2)
-    coeff_bottom = v_bottom.conj().T @ ((lower - signs * upper) / 2)
 
-    times = np.arange(spec.steps + 1, dtype=np.float64) * spec.dt
-    # (dim, n_times) phase tables; columns are grid times.
-    phases_top = np.exp(-1j * np.outer(w_top, times))
-    phases_bottom = np.exp(-1j * np.outer(w_bottom, times))
-    block_top = v_top @ (coeff_top[:, None] * phases_top)
-    block_bottom = v_bottom @ (coeff_bottom[:, None] * phases_bottom)
-    column = signs[:, None]
-    states = np.empty((times.size, 2 * dim), dtype=np.complex128)
-    states[:, :dim] = (block_top - column * block_bottom).T
-    states[:, dim:] = (column * block_top + block_bottom).T
-    states[0] = state  # t = 0 is the input, exactly
-    return times, states
+def _evolve_csv(params: ModelParams, tol: float, dt: float, steps: int,
+                initial_state=None) -> Iterator[str]:
+    """``trajectory_chunks(*evolve(...))`` without the whole state array.
+
+    Starts from ``initial_state`` or, when it is None, from the ground state,
+    taken from the same decomposition of the blocks as the evolution.
+    """
+    if initial_state is None:
+        def spec_from(system):
+            return EvolutionSpec(initial_state=_ground_state(system), dt=dt, steps=steps)
+    else:
+        spec = EvolutionSpec(initial_state=initial_state, dt=dt, steps=steps)
+        _check_length(params, spec)
+
+        def spec_from(system):
+            return spec
+    times, states_at = _evolve(params, tol, spec_from)
+    return _csv_chunks(times, states_at, 2 * params.dim)
 
 
 _TRAJECTORY_HEADER = "t,component_index,re,im\n"
-#: Stands for the time in a row template; no formatted float contains it.
-_TIME_SLOT = "T"
+#: Values formatted per chunk, at most: bounds the chunks' working set.
+_CHUNK_VALUES = 4096
+#: The words after the re and im fields of a row: "," and "\n", zero-padded.
+_SEPARATORS = np.frombuffer(b",\0\0\0\n\0\0\0", dtype=np.uint32)
 
 
 def trajectory_chunks(times, states) -> Iterator[str]:
-    """Trajectory CSV as text chunks: the header, then one chunk per time.
+    """Trajectory CSV as text chunks: the header, then blocks of whole time steps.
 
-    Joined, the chunks are :func:`trajectory_csv`. Each time step is a single
-    format call on a row template that has the component indices baked in.
+    Joined, the chunks are :func:`trajectory_csv`. A block of time steps (at
+    most ``_CHUNK_VALUES`` values, at least one step) is laid out as a
+    fixed-width matrix of uint32 words, one row per line with zero-padded
+    fields, and compacted once. Floats are formatted by a vectorized kernel
+    whose bytes equal ``'%.16e' % x``.
     """
     states = np.ascontiguousarray(states, dtype=np.complex128)
-    template = "".join(
-        f"{_TIME_SLOT},{idx},%.16e,%.16e\n" for idx in range(states.shape[-1])
-    )
+    times = np.asarray(times, dtype=np.float64)[: len(states)]
+    return _csv_chunks(times, lambda start, stop: states[start:stop], states.shape[-1])
+
+
+def _csv_chunks(times: np.ndarray, states_at, comps: int) -> Iterator[str]:
+    """Chunks of :func:`trajectory_chunks`; ``states_at(start, stop)`` gives the
+    states of ``times[start:stop]``."""
     yield _TRAJECTORY_HEADER
-    for t, state in zip(times, states):
-        yield template.replace(_TIME_SLOT, f"{t:.16e}") % tuple(
-            state.view(np.float64).tolist()
-        )
+    steps = len(times)
+    if steps == 0 or comps == 0:
+        return
+    time_fields = format_fields(times)
+    # Row: t | ",idx," zero-padded to whole words | re | "," | im | "\n".
+    indices = np.array([f",{i}," for i in range(comps)], dtype=bytes)
+    index_words = -(-indices.dtype.itemsize // 4)
+    indices = indices.astype(f"S{4 * index_words}").view(np.uint32)
+    block = min(steps, max(1, _CHUNK_VALUES // (2 * comps)))
+    values_at = WORDS + index_words
+    rows = np.zeros((block, comps, values_at + 2 * (WORDS + 1)), dtype=np.uint32)
+    rows[:, :, WORDS:values_at] = indices.reshape(comps, index_words)
+    pairs = rows[:, :, values_at:].reshape(block, comps, 2, WORDS + 1)
+    pairs[:, :, :, WORDS] = _SEPARATORS
+    for start in range(0, steps, block):
+        n = min(block, steps - start)
+        rows[:n, :, :WORDS] = time_fields[start : start + n, None, :]
+        values = states_at(start, start + n).view(np.float64).reshape(n, comps, 2)
+        format_fields(values, out=pairs[:n, :, :, :WORDS])
+        yield rows[:n].tobytes().translate(None, b"\0").decode("ascii")
 
 
 def trajectory_csv(times, states) -> str:

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, error lines, byte determinism."""
 
+import gc
 import json
 
 import numpy as np
@@ -12,7 +13,8 @@ from krabi.cli import parse_complex, run
 from krabi.linalg import eig_hermitian, load_matrix
 from krabi.model import ModelParams, build_full
 from krabi.riccati import VerificationReport
-from krabi.spectra import sector_spectrum
+from krabi import spectra
+from krabi.spectra import EvolutionSpec, evolve, ground_state, sector_spectrum, trajectory_csv
 
 MODEL = ["--k", "2", "--dim", "12", "--alpha", "1", "--omega", "1", "--g", "0.5"]
 
@@ -225,6 +227,31 @@ class TestEvolve:
         h = build_full(ModelParams(alpha=0.7, omega=1.1, g=0.2 - 0.1j, k=k, dim=dim))
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(h @ psi - eig_hermitian(h)[0][0] * psi) <= 1e-10
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_ground_run_decomposes_the_blocks_once(self, capsys, monkeypatch, k):
+        argv = ["evolve", "--k", str(k), "--dim", str(8 * k), "--alpha=0.45", "--omega=1.1",
+                "--g=0.07-0.02i", "--t-max=2", "--steps", "9"]
+        params = ModelParams(alpha=0.45, omega=1.1, g=0.07 - 0.02j, k=k, dim=8 * k)
+        spec = EvolutionSpec(initial_state=ground_state(params), dt=2 / 9, steps=9)
+        expected = trajectory_csv(*evolve(params, spec))
+        calls = []
+        decompose = spectra._block_eigensystem
+        monkeypatch.setattr(spectra, "_block_eigensystem",
+                            lambda *args: calls.append(args) or decompose(*args))
+        code, out, _ = invoke(capsys, argv)
+        assert code == 0 and len(calls) == 1
+        assert out == expected
+
+    def test_repeated_runs_leave_no_cyclic_garbage(self, capsys):
+        invoke(capsys, self.ARGS)
+        gc.collect()
+        gc.disable()
+        try:
+            invoke(capsys, self.ARGS)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_missing_state_file(self, capsys):
         code, _, err = invoke(capsys, self.ARGS + ["--state", "/nonexistent/state.txt"])

@@ -173,6 +173,29 @@ class TestEvolve:
             oracle = full_propagated(params, state, t)
             assert np.linalg.norm(psi - oracle) <= 1e-10
 
+    @pytest.mark.parametrize("k,dim", [(1, 16), (2, 64), (4, 128)])
+    def test_equals_out_of_place_frame_changes_bitwise(self, k, dim):
+        # Reference: the same arithmetic written with fresh temporaries.
+        params = seeded_params(k, k, dim)
+        rng = np.random.default_rng(dim)
+        state = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
+        state /= np.linalg.norm(state)
+        spec = EvolutionSpec(initial_state=state, dt=0.07, steps=30)
+        signs, (w_top, v_top), (w_bottom, v_bottom) = spectra._block_eigensystem(params, 1e-9)
+        upper, lower = state[:dim], state[dim:]
+        coeff_top = v_top.conj().T @ ((upper + signs * lower) / 2)
+        coeff_bottom = v_bottom.conj().T @ ((lower - signs * upper) / 2)
+        times = np.arange(31, dtype=np.float64) * 0.07
+        block_top = v_top @ (coeff_top[:, None] * np.exp(-1j * np.outer(w_top, times)))
+        block_bottom = v_bottom @ (coeff_bottom[:, None] * np.exp(-1j * np.outer(w_bottom, times)))
+        column = signs[:, None]
+        expected = np.ascontiguousarray(np.hstack([(block_top - column * block_bottom).T,
+                                                   (column * block_top + block_bottom).T]))
+        expected[0] = state
+        got_times, got = evolve(params, spec, tol=1e-9)
+        assert np.array_equal(got_times, times)
+        assert np.array_equal(got.view(np.float64), expected.view(np.float64))
+
     @pytest.mark.parametrize("bad", [2.0, 1j, -1.0 + 1e-15])
     def test_rejects_parity_that_is_not_a_sign_vector(self, monkeypatch, bad):
         params = ModelParams(alpha=0.4, omega=1.0, g=0.3, k=1, dim=4)
@@ -267,8 +290,30 @@ class TestTrajectoryCsv:
         times, states = evolve(params, spec)
         assert trajectory_csv(times, states) == per_line_trajectory_csv(times, states)
 
-    def test_chunks_are_header_then_one_per_time(self):
-        chunks = list(trajectory_chunks(self.TIMES, self.EXTREME))
+    @pytest.mark.parametrize("steps,comps", [(3, 4), (50, 100), (4, 3000)])
+    def test_chunks_are_header_then_whole_time_steps(self, steps, comps):
+        rng = np.random.default_rng(comps)
+        times = np.arange(steps) * 0.1
+        states = rng.normal(size=(steps, comps)) + 1j * rng.normal(size=(steps, comps))
+        chunks = list(trajectory_chunks(times, states))
         assert chunks[0] == "t,component_index,re,im\n"
-        assert len(chunks) == 1 + len(self.TIMES)
-        assert all(chunk.count("\n") == self.EXTREME.shape[1] for chunk in chunks[1:])
+        for chunk in chunks[1:]:
+            assert chunk.endswith("\n")
+            rows = [line.split(",") for line in chunk.splitlines()]
+            assert len(rows) % comps == 0
+            for step in range(0, len(rows), comps):
+                whole = rows[step : step + comps]
+                assert [int(row[1]) for row in whole] == list(range(comps))
+                assert len({row[0] for row in whole}) == 1
+        assert "".join(chunks) == trajectory_csv(times, states)
+        assert "".join(chunks) == per_line_trajectory_csv(times, states)
+        # As many whole steps per chunk as fit in its value budget, at least one.
+        per_chunk = max(1, spectra._CHUNK_VALUES // (2 * comps))
+        assert len(chunks) - 1 == -(-steps // per_chunk)
+
+    def test_times_and_states_of_unequal_length(self):
+        # Like zip: the shorter of the two sets the number of time steps.
+        text = trajectory_csv(self.TIMES[:2], self.EXTREME)
+        assert text == per_line_trajectory_csv(self.TIMES[:2], self.EXTREME)
+        assert trajectory_csv(self.TIMES, self.EXTREME[:1]) == \
+            per_line_trajectory_csv(self.TIMES, self.EXTREME[:1])
