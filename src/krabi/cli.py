@@ -161,7 +161,7 @@ def _cmd_parity_table(args) -> int:
         )
     lines = ["p,n,l,sign"]
     for p in range(sd.dim):
-        n, l = sd.sector_of[p]
+        n, l = sd.sector_of(p)
         sign = -1 if n % 2 else 1
         lines.append(f"{p},{n},{l},{sign:+d}")
     _emit(["\n".join(lines) + "\n"], args.out)

@@ -40,21 +40,28 @@ class SectorDecomposition:
     """Split of the first ``dim`` Fock states into k interleaved sectors.
 
     ``members[l-1]`` lists the Fock indices of sector l in ascending order
-    (these are k*n + l - 1 for n = 0, 1, ...). ``sector_of`` maps a Fock
-    index p back to its (level, sector) pair (n, l). The map is a bijection
-    onto all pairs with k*n + l - 1 < dim, so the sectors resolve the
-    identity and are mutually orthogonal.
+    (these are k*n + l - 1 for n = 0, 1, ...). :meth:`sector_of` maps a
+    Fock index p back to its (level, sector) pair (n, l). The map is a
+    bijection onto all pairs with k*n + l - 1 < dim, so the sectors resolve
+    the identity and are mutually orthogonal.
     """
 
     k: int
     dim: int
     members: tuple
-    sector_of: dict
 
     @property
     def sector_dims(self) -> tuple:
         """Number of kept basis states per sector, indexed by l - 1."""
         return tuple(int(m.size) for m in self.members)
+
+    def sector_of(self, p: int) -> tuple[int, int]:
+        """Level and sector (n, l) of Fock index p: (p // k, p % k + 1)."""
+        if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+            raise ValueError(f"Fock index p must be an integer, got {p!r}")
+        if not 0 <= p < self.dim:
+            raise ValueError(f"Fock index p must satisfy 0 <= p < {self.dim}, got {p}")
+        return int(p) // self.k, int(p) % self.k + 1
 
     def _check_l(self, l: int) -> int:
         if isinstance(l, bool) or not isinstance(l, (int, np.integer)):
@@ -85,8 +92,7 @@ def decompose(k: int, dim: int) -> SectorDecomposition:
     """Enumerate the k sectors of the first ``dim`` Fock states."""
     k, dim = _check_k_dim(k, dim)
     members = tuple(np.arange(l - 1, dim, k, dtype=np.int64) for l in range(1, k + 1))
-    sector_of = {int(p): (int(p) // k, int(p) % k + 1) for p in range(dim)}
-    return SectorDecomposition(k=k, dim=dim, members=members, sector_of=sector_of)
+    return SectorDecomposition(k=k, dim=dim, members=members)
 
 
 @dataclass(frozen=True)
@@ -126,17 +132,24 @@ class RestrictedOps:
             raise ValueError(f"sector label l must satisfy 1 <= l <= {self.k}, got {l}")
 
 
-def _band_amplitude(k: int, l: int, j: int) -> float:
-    # sqrt((k*j + l - 1)! / (k*(j-1) + l - 1)!) as a product of square roots,
-    # never forming the factorials themselves.
-    lo = k * (j - 1) + l - 1
-    hi = k * j + l - 1
-    return float(np.prod(np.sqrt(np.arange(lo + 1, hi + 1, dtype=np.float64))))
+def _lowering_band(k: int, dim: int) -> np.ndarray:
+    """<p| a^k |p+k> = sqrt((p+1)(p+2)...(p+k)) for p < dim - k.
+
+    A product of k square roots of consecutive integers, never the
+    factorials themselves. Entry p links sector level n = p // k of sector
+    l = p % k + 1 to level n + 1.
+    """
+    roots = np.sqrt(np.arange(1, dim, dtype=np.float64))  # roots[i] = sqrt(i + 1)
+    band = roots[: dim - k].copy()
+    for j in range(1, k):
+        band *= roots[j : dim - k + j]
+    return band
 
 
 def restricted_ops(sd: SectorDecomposition) -> RestrictedOps:
     """Formula-built per-sector number and k-step lowering operators."""
     k = sd.k
+    band = _lowering_band(k, sd.dim)
     number_diagonals = []
     lowering = []
     for l in range(1, k + 1):
@@ -144,8 +157,7 @@ def restricted_ops(sd: SectorDecomposition) -> RestrictedOps:
         levels = np.arange(size, dtype=np.int64)
         number_diagonals.append(k * levels + (l - 1))
         a_l = np.zeros((size, size), dtype=np.complex128)
-        for j in range(1, size):
-            a_l[j - 1, j] = _band_amplitude(k, l, j)
+        a_l[levels[:-1], levels[1:]] = band[l - 1 :: k]
         lowering.append(a_l)
     return RestrictedOps(
         k=k,

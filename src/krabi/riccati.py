@@ -204,7 +204,12 @@ def block_diagonalize(
     this reduces to h_plus + alpha*x and h_minus - alpha*x.
     """
     x = _checked_candidate(blocks, x)
-    report = verify_involution_solution(blocks, x, tol=tol)
+    _require_passed(verify_involution_solution(blocks, x, tol=tol), tol)
+    return _decoupled_blocks(blocks, x)
+
+
+def _require_passed(report: VerificationReport, tol: float) -> None:
+    """Raise SolutionError, with the report's defects, unless it passed."""
     if not report.passed:
         raise SolutionError(
             "candidate is not a verified Riccati solution: relative residual "
@@ -212,4 +217,3 @@ def block_diagonalize(
             f"{report.involution_defect:.3e}, intertwining defect "
             f"{report.intertwining_defect:.3e} (tolerance {tol:.1e})"
         )
-    return _decoupled_blocks(blocks, x)

@@ -10,8 +10,11 @@ Time evolution uses eigendecomposition rather than ODE stepping, so there
 is no step-size parameter to tune: the state is rotated into the block
 frame with the closed-form inverse transform, each block component picks
 up exact phase factors exp(-i*w*t), and the result is rotated back. The
-parity is diagonal with entries +-1, so both frame changes are
-elementwise sign flips on the sign vector s:
+blocks are solved as k real tridiagonal sector matrices each
+(:mod:`krabi._sectors`), after the parity is verified on the band; the
+dense blocks serve sector_spectrum and sweep. The parity is diagonal with
+entries +-1, so both frame changes are elementwise sign flips on the sign
+vector s:
 
     block frame:    ((psi_u + s*psi_l) / 2, (psi_l - s*psi_u) / 2)
     physical frame: (b_u - s*b_l, s*b_u + b_l)
@@ -24,13 +27,13 @@ physical-frame states stay normalized to roundoff.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._format import WORDS, format_fields
-from .errors import ShapeError, SolutionError
+from ._sectors import SectorSystem, sector_eigensystem
+from .errors import ShapeError
 from .linalg import eig_hermitian
 from .model import ModelParams, build_blocks
 from .parity import generalized_parity
@@ -115,9 +118,7 @@ class EvolutionSpec:
 
 def _verified_blocks(params: ModelParams, tol: float):
     x = generalized_parity(params.k, params.dim)
-    blocks = build_blocks(params)
-    top, bottom = block_diagonalize(blocks, x, tol=tol)
-    return blocks, x, top, bottom
+    return block_diagonalize(build_blocks(params), x, tol=tol)
 
 
 def sector_spectrum(
@@ -136,7 +137,7 @@ def sector_spectrum(
         raise ValueError(f"m must be an integer, got {m!r}")
     if not 1 <= m <= params.dim:
         raise ShapeError(f"m must satisfy 1 <= m <= dim = {params.dim}, got {m}")
-    _, _, top, bottom = _verified_blocks(params, tol)
+    top, bottom = _verified_blocks(params, tol)
     w_top = eig_hermitian(top)[0]
     w_bottom = eig_hermitian(bottom)[0]
     return w_top[:m].copy(), w_bottom[:m].copy()
@@ -162,6 +163,9 @@ def sweep(spec: SweepSpec, *, tol: float = DEFAULT_TOLERANCE, jobs: int = 1) -> 
     if jobs == 1:
         chunks = [point(v) for v in grid]
     else:
+        # Imported here: only --jobs > 1 needs it, and it costs every import.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(point, grid))
     return [row for chunk in chunks for row in chunk]
@@ -175,36 +179,16 @@ def sweep_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parity_signs(x: np.ndarray) -> np.ndarray:
-    # x is the diagonal generalized parity. A diagonal x is a Hermitian
-    # involution exactly when its diagonal is real +-1: this is the O(dim)
-    # form of similarity_transform's check.
-    diagonal = np.diagonal(x)
-    signs = diagonal.real.copy()
-    if np.any(diagonal.imag != 0) or np.any(np.abs(signs) != 1):
-        raise SolutionError("parity diagonal is not a real +-1 vector")
-    return signs
-
-
-def _block_eigensystem(params: ModelParams, tol: float):
-    # The model blocks and the dense parity are dropped before the eigensolves,
-    # and each block matrix once it is solved: a smaller peak working set.
-    x, top, bottom = _verified_blocks(params, tol)[1:]
-    signs = _parity_signs(x)
-    del x
-    eig_top = eig_hermitian(top)
-    del top
-    return signs, eig_top, eig_hermitian(bottom)
-
-
-def _ground_state(system) -> np.ndarray:
-    signs, (w_top, v_top), (w_bottom, v_bottom) = system
-    if w_top[0] <= w_bottom[0]:
-        u = v_top[:, 0]
-        state = np.concatenate([u, signs * u])
-    else:
-        u = v_bottom[:, 0]
-        state = np.concatenate([-signs * u, u])
+def _ground_state(system: SectorSystem) -> np.ndarray:
+    signs, phase, sectors = system
+    k = len(sectors[0])
+    # Equal lowest levels go to the top block (b = 0), then to the lowest sector.
+    _, block, l = min((w[0], b, l) for b, block_sectors in enumerate(sectors)
+                      for l, (w, _) in enumerate(block_sectors))
+    v = np.zeros(signs.size, dtype=np.complex128)
+    v[l::k] = sectors[block][l][1][:, 0]
+    v *= phase
+    state = np.concatenate([v, signs * v] if block == 0 else [-signs * v, v])
     return state / np.sqrt(2.0)
 
 
@@ -213,27 +197,37 @@ def ground_state(params: ModelParams, *, tol: float = DEFAULT_TOLERANCE) -> np.n
 
     The lowest eigenpair of the two decoupled blocks is the ground state:
     an eigenvector u of the top block maps to [u; s*u] / sqrt(2), one of the
-    bottom block to [-s*u; u] / sqrt(2). Ties go to the top block.
+    bottom block to [-s*u; u] / sqrt(2). The blocks are solved sector by
+    sector; ties go to the top block, then to the lowest sector.
     """
-    return _ground_state(_block_eigensystem(params, tol))
+    return _ground_state(sector_eigensystem(params, tol))
 
 
-def _block_trajectories(system, state: np.ndarray, times: np.ndarray) -> list:
-    """v @ (c * exp(-i w t)) for each block, c the state's block-frame coefficients."""
-    signs, (w_top, v_top), (w_bottom, v_bottom) = system
-    dim = signs.size
+def _block_trajectories(system: SectorSystem, state: np.ndarray, times: np.ndarray) -> list:
+    """Each block's D * (u @ (c * exp(-i w t))), sector by sector, where
+    c = u.T @ (conj(D) * b)[l::k] and b is the state's block-frame component."""
+    signs, phase, sectors = system
+    dim, k = signs.size, len(sectors[0])
     upper, lower = state[:dim], state[dim:]
-    coeff_top = v_top.conj().T @ ((upper + signs * lower) / 2)
-    coeff_bottom = v_bottom.conj().T @ ((lower - signs * upper) / 2)
-    # Each block's phase table and its product with the coefficients share one
-    # (dim, n_times) buffer; columns are grid times.
-    work = np.empty((dim, times.size), dtype=np.complex128)
+    frames = ((upper + signs * lower) / 2, (lower - signs * upper) / 2)
+    # Each sector's phase table and its product with the coefficients share one
+    # buffer; columns are grid times.
+    work = np.empty((-(-dim // k), times.size), dtype=np.complex128)
     blocks = []
-    for w, v, coeff in ((w_top, v_top, coeff_top), (w_bottom, v_bottom, coeff_bottom)):
-        np.multiply(-1j, np.outer(w, times), out=work)
-        np.exp(work, out=work)
-        np.multiply(coeff[:, None], work, out=work)
-        blocks.append(v @ work)
+    for frame, block in zip(frames, sectors):
+        gauged = np.conj(phase) * frame
+        trajectory = np.empty((dim, times.size), dtype=np.complex128)
+        for l, (w, u) in enumerate(block):
+            coeff = u.T @ gauged[l::k]
+            table = work[: w.size]
+            np.multiply(-1j, np.outer(w, times), out=table)
+            np.exp(table, out=table)
+            np.multiply(coeff[:, None], table, out=table)
+            # Real u times complex table: one real product over (re, im) columns,
+            # written straight into the sector's rows.
+            np.matmul(u, table.view(np.float64), out=trajectory[l::k].view(np.float64))
+        trajectory *= phase[:, None]
+        blocks.append(trajectory)
     return blocks
 
 
@@ -251,9 +245,9 @@ def _evolve(params: ModelParams, tol: float, spec_from):
     is released before, and a caller that takes the states a block at a time
     never holds the whole (n_times, 2*dim) array.
     """
-    system = _block_eigensystem(params, tol)
+    system = sector_eigensystem(params, tol)
     spec = spec_from(system)
-    signs = system[0]
+    signs = system.signs
     times = np.arange(spec.steps + 1, dtype=np.float64) * spec.dt
     block_top, block_bottom = _block_trajectories(system, spec.initial_state, times)
     del system
@@ -326,10 +320,13 @@ def trajectory_chunks(times, states) -> Iterator[str]:
     most ``_CHUNK_VALUES`` values, at least one step) is laid out as a
     fixed-width matrix of uint32 words, one row per line with zero-padded
     fields, and compacted once. Floats are formatted by a vectorized kernel
-    whose bytes equal ``'%.16e' % x``.
+    whose bytes equal ``'%.16e' % x``. Raises ShapeError unless there is one
+    time per state.
     """
     states = np.ascontiguousarray(states, dtype=np.complex128)
-    times = np.asarray(times, dtype=np.float64)[: len(states)]
+    times = np.asarray(times, dtype=np.float64)
+    if len(times) != len(states):
+        raise ShapeError(f"got {len(times)} times for {len(states)} states")
     return _csv_chunks(times, lambda start, stop: states[start:stop], states.shape[-1])
 
 

@@ -2,15 +2,19 @@
 
 import gc
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from krabi import cli
+import krabi
+from krabi import _sectors, cli, linalg, model, riccati
 from krabi.cli import parse_complex, run
-from krabi.linalg import eig_hermitian, load_matrix
+from krabi.linalg import dump_vector, eig_hermitian, load_matrix
 from krabi.model import ModelParams, build_full
 from krabi.riccati import VerificationReport
 from krabi import spectra
@@ -236,12 +240,44 @@ class TestEvolve:
         spec = EvolutionSpec(initial_state=ground_state(params), dt=2 / 9, steps=9)
         expected = trajectory_csv(*evolve(params, spec))
         calls = []
-        decompose = spectra._block_eigensystem
-        monkeypatch.setattr(spectra, "_block_eigensystem",
+        decompose = spectra.sector_eigensystem
+        monkeypatch.setattr(spectra, "sector_eigensystem",
                             lambda *args: calls.append(args) or decompose(*args))
         code, out, _ = invoke(capsys, argv)
         assert code == 0 and len(calls) == 1
         assert out == expected
+
+    @pytest.mark.parametrize("state", ["ground", "file"])
+    def test_never_touches_the_dense_blocks(self, capsys, monkeypatch, tmp_path, state):
+        argv = ["evolve", "--k", "3", "--dim", "31", "--alpha=0.45", "--omega=1.1",
+                "--g=0.07-0.02i", "--t-max=2", "--steps", "9"]
+        if state == "file":
+            vector = np.random.default_rng(31).normal(size=62) + 0j
+            dump_vector(vector / np.linalg.norm(vector), tmp_path / "state.txt")
+            argv += ["--state", str(tmp_path / "state.txt")]
+        expected = invoke(capsys, argv)
+
+        def dense(*_args, **_kwargs):
+            raise AssertionError("dense path called during krabi evolve")
+
+        for module in (krabi, model, riccati, linalg, spectra, cli, _sectors):
+            for name in ("build_blocks", "block_diagonalize", "eig_hermitian"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, dense)
+        assert invoke(capsys, argv) == expected
+        assert expected[0] == 0
+
+    @pytest.mark.parametrize("k,dim", [(1, 128), (2, 128), (3, 99), (4, 128)])
+    def test_large_ground_state_is_lowest_eigenvector(self, capsys, k, dim):
+        code, out, _ = invoke(capsys, ["evolve", "--k", str(k), "--dim", str(dim),
+                                       "--alpha", "0.7", "--omega", "1.1", "--g", "-0.02-0.01i",
+                                       "--t-max", "1", "--steps", "1"])
+        assert code == 0
+        rows = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
+        psi = rows[: 2 * dim, 2] + 1j * rows[: 2 * dim, 3]
+        h = build_full(ModelParams(alpha=0.7, omega=1.1, g=-0.02 - 0.01j, k=k, dim=dim))
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(h @ psi - eig_hermitian(h)[0][0] * psi) <= 1e-10
 
     def test_repeated_runs_leave_no_cyclic_garbage(self, capsys):
         invoke(capsys, self.ARGS)
@@ -308,3 +344,15 @@ class TestErrorPaths:
         code, _, err = invoke(capsys, [])
         assert code == 2
         assert err.startswith("error:")
+
+
+class TestImport:
+    def test_thread_pool_is_imported_only_by_parallel_sweeps(self):
+        # concurrent.futures (and logging with it) costs every subcommand's
+        # start-up; only sweep --jobs N with N > 1 needs it.
+        code = ("import sys, krabi, krabi.cli; "
+                "print('concurrent.futures' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(krabi.__path__[0])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "False"

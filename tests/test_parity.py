@@ -48,7 +48,15 @@ class TestDecompose:
         sd = decompose(3, 10)
         for l in range(1, 4):
             for n, p in enumerate(sd.members[l - 1]):
-                assert sd.sector_of[int(p)] == (n, l)
+                assert sd.sector_of(int(p)) == (n, l)
+
+    @pytest.mark.parametrize("p", [-1, 10, 2.0, True, "3"])
+    def test_index_map_rejects_indices_outside_the_space(self, p):
+        with pytest.raises(ValueError, match="Fock index"):
+            decompose(3, 10).sector_of(p)
+
+    def test_index_map_accepts_numpy_integers(self):
+        assert decompose(3, 10).sector_of(np.int64(7)) == (2, 2)
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(min_value=1, max_value=6), extra=st.integers(min_value=0, max_value=40))
@@ -59,7 +67,7 @@ class TestDecompose:
         assert np.array_equal(np.sort(seen), np.arange(dim))
         assert sum(sd.sector_dims) == dim
         for p in range(dim):
-            n, l = sd.sector_of[p]
+            n, l = sd.sector_of(p)
             assert 1 <= l <= k and p == k * n + l - 1
 
     def test_resolution_of_identity_exact(self):

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from krabi import spectra
+from krabi import _sectors, spectra
 from krabi.errors import ShapeError, SolutionError
 from krabi.linalg import eig_hermitian
 from krabi.model import ModelParams, build_full
+from krabi.parity import generalized_parity_signs
 from krabi.spectra import (
     EvolutionSpec,
     SweepSpec,
@@ -159,7 +160,9 @@ class TestEvolve:
         assert np.max(np.abs(lower)) <= 1e-12
 
     @pytest.mark.parametrize("seed,k,dim", [(0, 1, 8), (1, 2, 12), (2, 3, 12),
-                                            (3, 1, 64), (4, 2, 64), (5, 3, 48), (6, 4, 64)])
+                                            (3, 1, 64), (4, 2, 64), (5, 3, 48), (6, 4, 64),
+                                            (7, 1, 128), (8, 2, 128), (9, 3, 128), (10, 4, 128),
+                                            (11, 3, 17), (12, 4, 66)])
     def test_matches_full_propagator(self, seed, k, dim):
         rng = np.random.default_rng(seed)
         params = ModelParams(alpha=rng.random(), omega=0.5 + rng.random(),
@@ -173,7 +176,7 @@ class TestEvolve:
             oracle = full_propagated(params, state, t)
             assert np.linalg.norm(psi - oracle) <= 1e-10
 
-    @pytest.mark.parametrize("k,dim", [(1, 16), (2, 64), (4, 128)])
+    @pytest.mark.parametrize("k,dim", [(1, 16), (2, 64), (3, 50), (4, 128)])
     def test_equals_out_of_place_frame_changes_bitwise(self, k, dim):
         # Reference: the same arithmetic written with fresh temporaries.
         params = seeded_params(k, k, dim)
@@ -181,13 +184,20 @@ class TestEvolve:
         state = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
         state /= np.linalg.norm(state)
         spec = EvolutionSpec(initial_state=state, dt=0.07, steps=30)
-        signs, (w_top, v_top), (w_bottom, v_bottom) = spectra._block_eigensystem(params, 1e-9)
+        signs, phase, sectors = _sectors.sector_eigensystem(params, 1e-9)
         upper, lower = state[:dim], state[dim:]
-        coeff_top = v_top.conj().T @ ((upper + signs * lower) / 2)
-        coeff_bottom = v_bottom.conj().T @ ((lower - signs * upper) / 2)
         times = np.arange(31, dtype=np.float64) * 0.07
-        block_top = v_top @ (coeff_top[:, None] * np.exp(-1j * np.outer(w_top, times)))
-        block_bottom = v_bottom @ (coeff_bottom[:, None] * np.exp(-1j * np.outer(w_bottom, times)))
+        blocks = []
+        for frame, block in zip(((upper + signs * lower) / 2, (lower - signs * upper) / 2),
+                                sectors):
+            gauged = np.conj(phase) * frame
+            trajectory = np.zeros((dim, times.size), dtype=complex)
+            for l, (w, u) in enumerate(block):
+                coeff = u.T @ gauged[l::k]
+                table = coeff[:, None] * np.exp(-1j * np.outer(w, times))
+                trajectory[l::k] = (u @ table.view(np.float64)).view(np.complex128)
+            blocks.append(trajectory * phase[:, None])
+        block_top, block_bottom = blocks
         column = signs[:, None]
         expected = np.ascontiguousarray(np.hstack([(block_top - column * block_bottom).T,
                                                    (column * block_top + block_bottom).T]))
@@ -199,10 +209,9 @@ class TestEvolve:
     @pytest.mark.parametrize("bad", [2.0, 1j, -1.0 + 1e-15])
     def test_rejects_parity_that_is_not_a_sign_vector(self, monkeypatch, bad):
         params = ModelParams(alpha=0.4, omega=1.0, g=0.3, k=1, dim=4)
-        blocks, x, top, bottom = spectra._verified_blocks(params, 1e-12)
-        x = x.astype(complex)
-        x[2, 2] = bad
-        monkeypatch.setattr(spectra, "_verified_blocks", lambda *_: (blocks, x, top, bottom))
+        signs = generalized_parity_signs(1, 4).astype(complex)
+        signs[2] = bad
+        monkeypatch.setattr(_sectors, "generalized_parity_signs", lambda *_: signs)
         spec = EvolutionSpec(initial_state=self.basis_state(8, 0), dt=0.1, steps=2)
         with pytest.raises(SolutionError, match="real"):
             evolve(params, spec)
@@ -259,6 +268,15 @@ class TestGroundState:
         expected[0] = 1 / math.sqrt(2)
         assert np.allclose(flipped, expected, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equal_lowest_levels_go_to_the_top_block(self, k):
+        # At g = 0 and alpha = 0 both blocks hold the level 0 of Fock state 0:
+        # the top block's vector is [u; s*u] / sqrt(2), the bottom's [-s*u; u] / sqrt(2).
+        dim = 4 * k
+        psi = ground_state(ModelParams(alpha=0.0, omega=1.0, g=0.0, k=k, dim=dim))
+        assert np.flatnonzero(psi).tolist() == [0, dim]
+        assert psi[0] * np.conj(psi[dim]) == pytest.approx(0.5, abs=1e-15)
+
 
 class TestTrajectoryCsv:
     TIMES = np.array([0.0, 0.125, 1e300])
@@ -311,9 +329,11 @@ class TestTrajectoryCsv:
         per_chunk = max(1, spectra._CHUNK_VALUES // (2 * comps))
         assert len(chunks) - 1 == -(-steps // per_chunk)
 
-    def test_times_and_states_of_unequal_length(self):
-        # Like zip: the shorter of the two sets the number of time steps.
-        text = trajectory_csv(self.TIMES[:2], self.EXTREME)
-        assert text == per_line_trajectory_csv(self.TIMES[:2], self.EXTREME)
-        assert trajectory_csv(self.TIMES, self.EXTREME[:1]) == \
-            per_line_trajectory_csv(self.TIMES, self.EXTREME[:1])
+    @pytest.mark.parametrize("times,states", [(TIMES[:2], EXTREME), (TIMES, EXTREME[:1]),
+                                              (TIMES[:0], EXTREME)],
+                             ids=["short-times", "short-states", "no-times"])
+    def test_times_and_states_of_unequal_length_rejected(self, times, states):
+        with pytest.raises(ShapeError, match="times"):
+            trajectory_csv(times, states)
+        with pytest.raises(ShapeError, match="times"):
+            trajectory_chunks(times, states)
