@@ -97,16 +97,39 @@ def gauge(g: complex, k: int, dim: int) -> np.ndarray:
     return np.exp(1j * hi * n) * np.exp(1j * ((theta - hi) * n + theta * r / k))
 
 
-def _eigh_tridiagonal(diagonal: np.ndarray, off: np.ndarray):
+def _solve_tridiagonal(solver, diagonal: np.ndarray, off: np.ndarray):
+    """``solver`` (``np.linalg.eigh`` or ``eigvalsh``) of a real symmetric tridiagonal."""
     n = diagonal.size
     matrix = np.diag(diagonal)
     index = np.arange(n - 1)
     matrix[index + 1, index] = off
     matrix[index, index + 1] = off
     try:
-        return np.linalg.eigh(matrix)
+        return solver(matrix)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"Hermitian eigensolver failed to converge: {exc}") from exc
+
+
+def _verified_sectors(params: ModelParams, tol: float):
+    """Verify the generalized parity on the band; return ``(signs, sectors)``.
+
+    ``sectors[b][l]`` is the (diagonal, off-diagonal) pair of block b (0 top,
+    1 bottom) on sector l + 1: ``omega*p +- alpha*s_p`` and ``+-|g|*amp_p``
+    on Fock indices l, l + k, .... Raises SolutionError, as
+    :func:`krabi.riccati.block_diagonalize` does, when the parity is not a
+    real +-1 vector or fails verification at ``tol``.
+    """
+    k, dim = params.k, params.dim
+    signs = real_signs(generalized_parity_signs(k, dim))
+    _require_passed(verify_band(params, signs, tol), tol)
+    diagonal, amplitudes = band(params)
+    coupling = abs(params.g) * amplitudes
+    sectors = []
+    for sign in (1.0, -1.0):
+        block_diagonal = diagonal + sign * params.alpha * signs
+        block_coupling = sign * coupling
+        sectors.append(tuple((block_diagonal[l::k], block_coupling[l::k]) for l in range(k)))
+    return signs, tuple(sectors)
 
 
 class SectorSystem(NamedTuple):
@@ -130,16 +153,21 @@ def sector_eigensystem(params: ModelParams, tol: float) -> SectorSystem:
     Raises SolutionError, as :func:`krabi.riccati.block_diagonalize` does,
     when the parity is not a real +-1 vector or fails verification at ``tol``.
     """
-    k, dim = params.k, params.dim
-    signs = real_signs(generalized_parity_signs(k, dim))
-    _require_passed(verify_band(params, signs, tol), tol)
-    diagonal, amplitudes = band(params)
-    coupling = abs(params.g) * amplitudes
-    phase = gauge(params.g, k, dim)
-    sectors = []
-    for sign in (1.0, -1.0):
-        block_diagonal = diagonal + sign * params.alpha * signs
-        block_coupling = sign * coupling
-        sectors.append(tuple(_eigh_tridiagonal(block_diagonal[l::k], block_coupling[l::k])
-                             for l in range(k)))
-    return SectorSystem(signs, phase, tuple(sectors))
+    signs, sectors = _verified_sectors(params, tol)
+    solved = tuple(tuple(_solve_tridiagonal(np.linalg.eigh, *pair) for pair in block)
+                   for block in sectors)
+    return SectorSystem(signs, gauge(params.g, params.k, params.dim), solved)
+
+
+def sector_levels(params: ModelParams, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenvalue of each decoupled block, ascending: ``(top, bottom)``.
+
+    The parity is verified on the band as in :func:`sector_eigensystem`; each
+    block's levels are the merged eigenvalues of its k real sector
+    tridiagonals. The gauge D is a diagonal unitary, so it does not enter.
+    """
+    _, sectors = _verified_sectors(params, tol)
+    top, bottom = (np.sort(np.concatenate([_solve_tridiagonal(np.linalg.eigvalsh, *pair)
+                                           for pair in block]))
+                   for block in sectors)
+    return top, bottom

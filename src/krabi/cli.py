@@ -52,6 +52,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    # NaN fails both comparisons; an infinite tolerance would pass any candidate.
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite tolerance >= 0, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser with one-line machine-parsable errors and exit 2."""
 
@@ -67,8 +78,8 @@ def _add_model_args(sub, with_levels=False):
     sub.add_argument("--omega", type=float, required=True, help="mode frequency, > 0")
     sub.add_argument("--g", type=parse_complex, required=True,
                      help="coupling, literal a, a+bi or a-bi")
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
-                     help="relative verification tolerance")
+    sub.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
+                     help="relative verification tolerance, finite and >= 0")
     if with_levels:
         sub.add_argument("--levels", type=_positive_int, required=True,
                          help="lowest levels per block")

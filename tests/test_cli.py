@@ -18,7 +18,8 @@ from krabi.linalg import dump_vector, eig_hermitian, load_matrix
 from krabi.model import ModelParams, build_full
 from krabi.riccati import VerificationReport
 from krabi import spectra
-from krabi.spectra import EvolutionSpec, evolve, ground_state, sector_spectrum, trajectory_csv
+from krabi.spectra import (EvolutionSpec, SweepSpec, evolve, ground_state, sector_spectrum,
+                           trajectory_csv)
 
 MODEL = ["--k", "2", "--dim", "12", "--alpha", "1", "--omega", "1", "--g", "0.5"]
 
@@ -138,14 +139,20 @@ class TestParityTable:
 
 class TestSpectrumAndSweep:
     def test_spectrum_output(self, capsys):
-        code, out, _ = invoke(capsys, ["spectrum", *MODEL, "--levels", "3"])
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0].startswith("# max_full_spectrum_deviation = ")
-        deviation = float(lines[0].split("=")[1])
-        assert deviation <= 1e-9
-        assert lines[1] == "block,level,eigenvalue"
-        assert len(lines) == 2 + 6
+        # The deviation line compares the sector route with the dense full matrix.
+        for k, dim in ((1, 16), (2, 12), (3, 25), (4, 32)):
+            argv = ["spectrum", "--k", str(k), "--dim", str(dim), "--alpha=-0.3",
+                    "--omega=1.2", "--g=0.05+0.02i", "--levels", "3"]
+            code, out, _ = invoke(capsys, argv)
+            assert code == 0, k
+            lines = out.splitlines()
+            assert lines[0].startswith("# max_full_spectrum_deviation = ")
+            deviation = float(lines[0].split("=")[1])
+            params = ModelParams(alpha=-0.3, omega=1.2, g=0.05 + 0.02j, k=k, dim=dim)
+            full = eig_hermitian(build_full(params))[0]
+            assert deviation <= 1e-12 * (full[-1] - full[0]), k
+            assert lines[1] == "block,level,eigenvalue"
+            assert len(lines) == 2 + 6
 
     def test_spectrum_bytes_match_separate_lowest_levels(self, capsys):
         levels = 4
@@ -175,6 +182,24 @@ class TestSpectrumAndSweep:
         assert first == second == threaded
         assert first.splitlines()[0] == "param,block,level,eigenvalue"
         assert len(first.splitlines()) == 1 + 3 * 2 * 2
+
+    def test_sweep_rows_match_sector_spectrum(self, capsys):
+        argv = ["sweep", "--k", "3", "--dim", "25", "--alpha=0.6", "--omega=1", "--g=0.1-0.2i",
+                "--param", "g", "--lo", "0", "--hi", "0.3", "--steps", "4", "--levels", "3"]
+        code, out, _ = invoke(capsys, argv)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        spec = SweepSpec(base=ModelParams(alpha=0.6, omega=1.0, g=0.1 - 0.2j, k=3, dim=25),
+                         param="g", lo=0.0, hi=0.3, steps=4, levels=3)
+        values = sorted({float(row[0]) for row in rows})
+        assert values == np.linspace(0.0, 0.3, 4).tolist()
+        for value in values:
+            levels = dict(zip("+-", sector_spectrum(spec.params_at(value), 3)))
+            scale = max(np.max(np.abs(w)) for w in levels.values())
+            point = [row for row in rows if float(row[0]) == value]
+            assert len(point) == 6
+            for _, block, level, w in point:
+                assert abs(float(w) - levels[block][int(level)]) <= 1e-12 * scale
 
     def test_sweep_invalid_range(self, capsys):
         code, _, err = invoke(capsys, ["sweep", *MODEL, "--param", "g", "--lo", "1",
@@ -344,6 +369,38 @@ class TestErrorPaths:
         code, _, err = invoke(capsys, [])
         assert code == 2
         assert err.startswith("error:")
+
+
+class TestTolerance:
+    COMMANDS = {
+        "verify": ["verify", *MODEL],
+        "spectrum": ["spectrum", *MODEL, "--levels", "2"],
+        "sweep": ["sweep", *MODEL, "--param", "g", "--lo", "0", "--hi", "0.4", "--steps", "2",
+                  "--levels", "2"],
+        "evolve": ["evolve", *MODEL, "--t-max", "1", "--steps", "2"],
+    }
+
+    @pytest.mark.parametrize("spelling", ["space", "equals"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_non_finite_or_negative_is_a_usage_error(self, capsys, command, value, spelling):
+        flag = ["--tol", value] if spelling == "space" else [f"--tol={value}"]
+        code, out, err = invoke(capsys, self.COMMANDS[command] + flag)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--tol" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("tol", ["0", "1e-10", "0.5", "1e300"])
+    @pytest.mark.parametrize("candidate", ["xk", "p", "t"])
+    def test_every_verify_report_is_strict_json(self, capsys, candidate, tol):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        code, out, _ = invoke(capsys, ["verify", *MODEL, "--candidate", candidate,
+                                       "--tol", tol, "--spectra"])
+        report = json.loads(out, parse_constant=reject)
+        assert report["tolerance"] == float(tol)
+        assert code == (0 if report["passed"] else 1)
 
 
 class TestImport:

@@ -1,4 +1,4 @@
-"""Sector-tridiagonal core against the dense blocks it replaces on the evolve path.
+"""Sector-tridiagonal core against the dense blocks it replaces in evolve and spectrum.
 
 The band, its verification of the parity and the sector eigensystem are
 each compared with the dense route (build_blocks, verify_involution_solution,

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from krabi import _sectors, spectra
+import krabi
+from krabi import _sectors, cli, linalg, model, parity, riccati, spectra
 from krabi.errors import ShapeError, SolutionError
 from krabi.linalg import eig_hermitian
-from krabi.model import ModelParams, build_full
+from krabi.model import ModelParams, build_blocks, build_full
 from krabi.parity import generalized_parity_signs
+from krabi.riccati import block_diagonalize
 from krabi.spectra import (
     EvolutionSpec,
     SweepSpec,
@@ -77,6 +79,72 @@ class TestSectorSpectrum:
     def test_too_many_levels_rejected(self):
         with pytest.raises(ShapeError):
             sector_spectrum(HAND, 3)
+
+    CASES = [(1, 16, 0), (1, 256, 1), (2, 17, 2), (2, 128, 3), (3, 31, 4), (3, 96, 5),
+             (4, 64, 6), (4, 130, 7)]
+
+    @pytest.mark.parametrize("variant", ["seeded", "g=0", "alpha<0", "alpha=0"])
+    @pytest.mark.parametrize("k,dim,seed", CASES)
+    def test_matches_dense_blocks_and_full_matrix(self, k, dim, seed, variant):
+        params = seeded_params(seed, k, dim)
+        if variant == "g=0":
+            params = params.replace(g=0.0)
+        elif variant == "alpha<0":
+            params = params.replace(alpha=-params.alpha)
+        elif variant == "alpha=0":
+            params = params.replace(alpha=0.0)
+        levels = sector_spectrum(params, dim)
+        full = eig_hermitian(build_full(params))[0]
+        scale = np.max(np.abs(full))
+        for got, block in zip(levels, spectra._verified_blocks(params, 1e-10)):
+            assert np.max(np.abs(got - eig_hermitian(block)[0])) <= 1e-12 * scale
+        assert np.max(np.abs(np.sort(np.concatenate(levels)) - full)) <= 1e-12 * scale
+        assert [w.tolist() for w in sector_spectrum(params, 1)] == [[w[0]] for w in levels]
+
+    def test_never_touches_the_dense_blocks(self, monkeypatch):
+        params = seeded_params(12, 3, 31)
+        expected = sector_spectrum(params, 7)
+
+        def dense(*_args, **_kwargs):
+            raise AssertionError("dense path called by sector_spectrum")
+
+        for module in (krabi, model, parity, riccati, linalg, spectra, cli, _sectors):
+            for name in ("build_blocks", "block_diagonalize", "eig_hermitian",
+                         "generalized_parity"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, dense)
+        for got, want in zip(sector_spectrum(params, 7), expected):
+            assert np.array_equal(got, want)
+
+    def test_flipped_sign_raises_the_dense_error(self, monkeypatch):
+        params = seeded_params(13, 2, 24)
+        signs = generalized_parity_signs(2, 24)
+        signs[11] *= -1
+        with pytest.raises(SolutionError) as dense:
+            block_diagonalize(build_blocks(params), np.diag(signs.astype(complex)))
+        monkeypatch.setattr(_sectors, "generalized_parity_signs", lambda *_: signs)
+        with pytest.raises(SolutionError) as core:
+            sector_spectrum(params, 3)
+        assert str(core.value) == str(dense.value)
+
+    @pytest.mark.parametrize("bad", [1j, -1.0 + 1e-15j])
+    def test_non_real_sign_raises_the_evolve_error(self, monkeypatch, bad):
+        # The dense route scores a non-real diagonal as a failed verification;
+        # the band route rejects it before verifying, as krabi evolve does.
+        params = seeded_params(14, 2, 24)
+        signs = generalized_parity_signs(2, 24).astype(complex)
+        signs[11] = bad
+        monkeypatch.setattr(_sectors, "generalized_parity_signs", lambda *_: signs)
+        with pytest.raises(SolutionError, match="real") as core:
+            sector_spectrum(params, 3)
+        with pytest.raises(SolutionError) as evolve_path:
+            _sectors.sector_eigensystem(params, 1e-10)
+        assert str(core.value) == str(evolve_path.value)
+
+    @pytest.mark.parametrize("m", [1, 5, 40])
+    def test_returned_arrays_own_their_data(self, m):
+        for w in sector_spectrum(seeded_params(15, 2, 40), m):
+            assert w.base is None and w.dtype == np.float64 and w.shape == (m,)
 
 
 class TestSweep:
