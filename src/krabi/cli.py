@@ -7,7 +7,7 @@ intertwining check above tolerance), 2 usage or validation error. Every
 error path prints a single line "error: <reason>" to stderr. Floats in CSV
 output use 17 significant digits in scientific notation, so identical
 invocations produce byte-identical output. A flag may take a negative
-number after a space (--g -0.1+0.2i, --alpha -1e-3).
+number after a space (--g -0.1+0.2i, --alpha -1e-3, --tol -inf).
 """
 
 from __future__ import annotations
@@ -220,13 +220,21 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return _COMPLEX_RE.match(token) is not None
+    return True
+
+
 def _attach_negative_numbers(argv: list[str]) -> list[str]:
-    # argparse reads "-1e-3" or "-0.1+0.2i" after a flag as another flag;
-    # "--flag=value" is unambiguous.
+    # argparse reads "-1e-3", "-0.1+0.2i" or "-inf" after a flag as another
+    # flag; "--flag=value" is unambiguous.
     merged = []
     for token in argv:
         if (merged and merged[-1].startswith("--") and "=" not in merged[-1]
-                and token.startswith("-") and _COMPLEX_RE.match(token)):
+                and token.startswith("-") and _is_number(token)):
             merged[-1] = f"{merged[-1]}={token}"
         else:
             merged.append(token)

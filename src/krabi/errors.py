@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer argument checks."""
+
+import numbers
 
 
 class ShapeError(ValueError):
@@ -15,3 +17,28 @@ class SolutionError(ValueError):
 
 class EigenSolverError(RuntimeError):
     """The eigensolver did not converge. Signals a bug, not a user error."""
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int. A bool, float or string is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _dim(dim) -> int:
+    """A truncation of at least two Fock states."""
+    dim = _integer(dim, "dim")
+    if dim < 2:
+        raise ShapeError(f"dim must be at least 2, got {dim}")
+    return dim
+
+
+def _k_dim(k, dim) -> tuple[int, int]:
+    """A photon number k >= 1 and a truncation that keeps two states per sector."""
+    k, dim = _integer(k, "k"), _integer(dim, "dim")
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k}")
+    if dim < 2 * k:
+        raise ShapeError(f"dim must be at least 2*k = {2 * k}, got {dim}")
+    return k, dim

@@ -12,21 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, _dim, _integer
 from .linalg import as_square_complex
-
-
-def _check_dim(dim) -> int:
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
-        raise ShapeError(f"dim must be an integer, got {dim!r}")
-    if dim < 2:
-        raise ShapeError(f"dim must be at least 2, got {dim}")
-    return int(dim)
 
 
 def annihilation(dim: int) -> np.ndarray:
     """Annihilation operator ``a`` with <n-1|a|n> = sqrt(n)."""
-    dim = _check_dim(dim)
+    dim = _dim(dim)
     a = np.zeros((dim, dim), dtype=np.complex128)
     ns = np.arange(1, dim)
     a[ns - 1, ns] = np.sqrt(ns)
@@ -40,7 +32,7 @@ def creation(dim: int) -> np.ndarray:
 
 def number(dim: int) -> np.ndarray:
     """Number operator ``a^dag a``, diagonal with entries 0 .. dim-1."""
-    dim = _check_dim(dim)
+    dim = _dim(dim)
     return np.diag(np.arange(dim, dtype=np.float64)).astype(np.complex128)
 
 
@@ -50,11 +42,10 @@ def power_k(op, k: int) -> np.ndarray:
     Requires k >= 1 (zero-photon coupling is not a meaningful model and is
     rejected) and dim >= k + 1 so that op^k can act nontrivially.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"k must be an integer, got {k!r}")
+    k = _integer(k, "k")
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     op = as_square_complex(op, "op")
     if op.shape[0] < k + 1:
         raise ShapeError(f"dim must be at least k + 1 = {k + 1}, got {op.shape[0]}")
-    return np.linalg.matrix_power(op, int(k))
+    return np.linalg.matrix_power(op, k)

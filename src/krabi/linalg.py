@@ -1,11 +1,10 @@
-"""Dense complex matrix helpers and a checked Hermitian eigensolver.
+"""Dense complex matrix validation and a checked Hermitian eigensolver.
 
 Every operator in this package is a plain square ``numpy.ndarray`` of
 ``complex128`` entries in row-major (C) order. The functions here add the
 validation, error reporting and text serialization that the rest of the
 package relies on. Once inputs are validated, internal code uses numpy
-arithmetic directly; these wrappers are the module's public contract and
-the place where dimension mismatches turn into structured errors.
+arithmetic directly.
 
 The eigensolver targets desk-scale problems (dimension up to about 1024)
 and is deterministic: identical input bytes produce identical output bytes
@@ -38,54 +37,10 @@ def as_square_complex(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a = as_square_complex(a, "a")
-    b = as_square_complex(b, "b")
-    if a.shape != b.shape:
-        raise ShapeError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a, b
-
-
-def add(a, b) -> np.ndarray:
-    """Matrix sum ``a + b`` of two equal-size square matrices."""
-    a, b = _pair(a, b)
-    return a + b
-
-
-def subtract(a, b) -> np.ndarray:
-    """Matrix difference ``a - b`` of two equal-size square matrices."""
-    a, b = _pair(a, b)
-    return a - b
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product ``a @ b`` of two equal-size square matrices."""
-    a, b = _pair(a, b)
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose. ``adjoint(adjoint(a))`` equals ``a`` entrywise."""
-    a = as_square_complex(a, "a")
-    return np.ascontiguousarray(a.conj().T)
-
-
-def frobenius_norm(a) -> float:
-    """Frobenius norm sqrt(sum |entry|^2); zero exactly for the zero matrix."""
-    a = as_square_complex(a, "a")
-    return float(np.linalg.norm(a))
-
-
 def hermiticity_defect(a) -> float:
-    """Frobenius norm of ``a - adjoint(a)``."""
+    """Frobenius norm of ``a - a^dag``."""
     a = as_square_complex(a, "a")
     return float(np.linalg.norm(a - a.conj().T))
-
-
-def is_hermitian(a, rtol: float = HERMITICITY_RTOL) -> bool:
-    """True when ``a`` equals its adjoint within ``rtol * ||a||_F``."""
-    a = as_square_complex(a, "a")
-    return hermiticity_defect(a) <= rtol * float(np.linalg.norm(a))
 
 
 def eig_hermitian(a, rtol: float = HERMITICITY_RTOL) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HermiticityError, ShapeError
+from .errors import HermiticityError, ShapeError, _k_dim
 from .fock import annihilation, number, power_k
 from .linalg import HERMITICITY_RTOL, as_square_complex, hermiticity_defect
 
@@ -48,32 +48,18 @@ class ModelParams:
     dim: int
 
     def __post_init__(self):
-        for name in ("k", "dim"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
-        if self.dim < 2 * self.k:
-            raise ShapeError(f"dim must be at least 2*k = {2 * self.k}, got {self.dim}")
+        k, dim = _k_dim(self.k, self.dim)
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "g", complex(self.g))
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "dim", dim)
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
         if not (math.isfinite(self.omega) and self.omega > 0):
             raise ValueError(f"omega must be finite and positive, got {self.omega}")
         if not (math.isfinite(self.g.real) and math.isfinite(self.g.imag)):
             raise ValueError(f"g must be finite, got {self.g}")
-
-    def replace(self, **changes) -> "ModelParams":
-        """Copy with some fields replaced."""
-        fields = {"alpha": self.alpha, "omega": self.omega, "g": self.g,
-                  "k": self.k, "dim": self.dim}
-        fields.update(changes)
-        return ModelParams(**fields)
 
 
 @dataclass(frozen=True)

@@ -21,18 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import _dim, _integer, _k_dim
 
 
-def _check_k_dim(k, dim) -> tuple[int, int]:
-    for name, value in (("k", k), ("dim", dim)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if dim < 2 * k:
-        raise ShapeError(f"dim must be at least 2*k = {2 * k}, got {dim}")
-    return int(k), int(dim)
+def _sector_label(l, k: int) -> int:
+    l = _integer(l, "sector label l")
+    if not 1 <= l <= k:
+        raise ValueError(f"sector label l must satisfy 1 <= l <= {k}, got {l}")
+    return l
 
 
 @dataclass(frozen=True)
@@ -57,22 +53,14 @@ class SectorDecomposition:
 
     def sector_of(self, p: int) -> tuple[int, int]:
         """Level and sector (n, l) of Fock index p: (p // k, p % k + 1)."""
-        if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
-            raise ValueError(f"Fock index p must be an integer, got {p!r}")
+        p = _integer(p, "Fock index p")
         if not 0 <= p < self.dim:
             raise ValueError(f"Fock index p must satisfy 0 <= p < {self.dim}, got {p}")
-        return int(p) // self.k, int(p) % self.k + 1
-
-    def _check_l(self, l: int) -> int:
-        if isinstance(l, bool) or not isinstance(l, (int, np.integer)):
-            raise ValueError(f"sector label l must be an integer, got {l!r}")
-        if not 1 <= l <= self.k:
-            raise ValueError(f"sector label l must satisfy 1 <= l <= {self.k}, got {l}")
-        return int(l)
+        return p // self.k, p % self.k + 1
 
     def projector_diagonal(self, l: int) -> np.ndarray:
         """Integer 0/1 diagonal of the orthogonal projector onto sector l."""
-        l = self._check_l(l)
+        l = _sector_label(l, self.k)
         diag = np.zeros(self.dim, dtype=np.int64)
         diag[self.members[l - 1]] = 1
         return diag
@@ -83,14 +71,14 @@ class SectorDecomposition:
 
     def compress(self, op: np.ndarray, l: int, m: int) -> np.ndarray:
         """Block of ``op`` mapping sector m into sector l, on sector indices."""
-        l = self._check_l(l)
-        m = self._check_l(m)
+        l = _sector_label(l, self.k)
+        m = _sector_label(m, self.k)
         return np.ascontiguousarray(op[np.ix_(self.members[l - 1], self.members[m - 1])])
 
 
 def decompose(k: int, dim: int) -> SectorDecomposition:
     """Enumerate the k sectors of the first ``dim`` Fock states."""
-    k, dim = _check_k_dim(k, dim)
+    k, dim = _k_dim(k, dim)
     members = tuple(np.arange(l - 1, dim, k, dtype=np.int64) for l in range(1, k + 1))
     return SectorDecomposition(k=k, dim=dim, members=members)
 
@@ -119,17 +107,13 @@ class RestrictedOps:
 
     def number_op(self, l: int) -> np.ndarray:
         """Dense complex number operator on sector l."""
-        self._check_l(l)
+        l = _sector_label(l, self.k)
         return np.diag(self.number_diagonals[l - 1].astype(np.complex128))
 
     def lowering_op(self, l: int) -> np.ndarray:
         """Dense complex k-step lowering operator on sector l."""
-        self._check_l(l)
+        l = _sector_label(l, self.k)
         return self.lowering_ops[l - 1]
-
-    def _check_l(self, l: int) -> None:
-        if not 1 <= l <= self.k:
-            raise ValueError(f"sector label l must satisfy 1 <= l <= {self.k}, got {l}")
 
 
 def _lowering_band(k: int, dim: int) -> np.ndarray:
@@ -170,7 +154,7 @@ def restricted_ops(sd: SectorDecomposition) -> RestrictedOps:
 
 def partial_parity_signs(sd: SectorDecomposition, l: int) -> np.ndarray:
     """Integer signs (-1)^n on the levels of sector l."""
-    l = sd._check_l(l)
+    l = _sector_label(l, sd.k)
     size = sd.sector_dims[l - 1]
     signs = np.ones(size, dtype=np.int64)
     signs[1::2] = -1
@@ -203,17 +187,9 @@ def generalized_parity(k: int, dim: int) -> np.ndarray:
     return np.diag(generalized_parity_signs(k, dim).astype(np.complex128))
 
 
-def _check_plain_dim(dim) -> int:
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
-        raise ValueError(f"dim must be an integer, got {dim!r}")
-    if dim < 2:
-        raise ShapeError(f"dim must be at least 2, got {dim}")
-    return int(dim)
-
-
 def bosonic_parity_signs(dim: int) -> np.ndarray:
     """Signs (-1)^n of the bosonic parity operator."""
-    dim = _check_plain_dim(dim)
+    dim = _dim(dim)
     signs = np.ones(dim, dtype=np.int64)
     signs[1::2] = -1
     return signs
@@ -230,7 +206,7 @@ def two_photon_parity_signs(dim: int) -> np.ndarray:
     The phase exp(i*pi*n(n-1)/2) is real for every n because n(n-1)/2 is an
     integer, so the operator reduces to this sign vector.
     """
-    dim = _check_plain_dim(dim)
+    dim = _dim(dim)
     n = np.arange(dim, dtype=np.int64)
     return np.where((n * (n - 1) // 2) % 2 == 0, 1, -1).astype(np.int64)
 

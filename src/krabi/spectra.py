@@ -31,13 +31,13 @@ physical-frame states stay normalized to roundoff.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._format import WORDS, format_fields
 from ._sectors import SectorSystem, sector_eigensystem, sector_levels
-from .errors import ShapeError
+from .errors import ShapeError, _integer
 from .linalg import eig_hermitian
 from .model import ModelParams, build_blocks
 from .parity import generalized_parity
@@ -71,6 +71,8 @@ class SweepSpec:
             raise ValueError("sweep range must be finite")
         if self.lo > self.hi:
             raise ValueError(f"invalid range: lo = {self.lo} > hi = {self.hi}")
+        object.__setattr__(self, "steps", _integer(self.steps, "steps"))
+        object.__setattr__(self, "levels", _integer(self.levels, "levels"))
         if self.steps < 2:
             raise ValueError(f"steps must be at least 2, got {self.steps}")
         if not 1 <= self.levels <= self.base.dim:
@@ -86,8 +88,8 @@ class SweepSpec:
         """Model parameters at one grid value of the swept quantity."""
         if self.param == "g":
             phase = np.angle(self.base.g) if self.base.g != 0 else 0.0
-            return self.base.replace(g=value * np.exp(1j * phase))
-        return self.base.replace(**{self.param: value})
+            return replace(self.base, g=value * np.exp(1j * phase))
+        return replace(self.base, **{self.param: value})
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,7 @@ class EvolutionSpec:
         object.__setattr__(self, "dt", float(self.dt))
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        object.__setattr__(self, "steps", _integer(self.steps, "steps"))
         if self.steps < 1:
             raise ValueError(f"steps must be at least 1, got {self.steps}")
 
@@ -140,8 +143,7 @@ def sector_spectrum(
     tridiagonals (:func:`krabi._sectors.sector_levels`); no dense matrix is
     built.
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise ValueError(f"m must be an integer, got {m!r}")
+    m = _integer(m, "m")
     if not 1 <= m <= params.dim:
         raise ShapeError(f"m must satisfy 1 <= m <= dim = {params.dim}, got {m}")
     top, bottom = sector_levels(params, tol)
@@ -155,6 +157,7 @@ def sweep(spec: SweepSpec, *, tol: float = DEFAULT_TOLERANCE, jobs: int = 1) -> 
     is deterministic regardless of how many worker threads evaluate the
     independent grid points.
     """
+    jobs = _integer(jobs, "jobs")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     grid = np.linspace(spec.lo, spec.hi, spec.steps)

@@ -334,6 +334,15 @@ class TestNegativeLiterals:
         assert code == 0
         assert json.loads(out)["params"]["alpha"] == -1e-3
 
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity"])
+    @pytest.mark.parametrize("flag", ["--tol", "--alpha", "--omega", "--g"])
+    def test_non_finite_after_a_space_reads_as_a_value(self, capsys, flag, value):
+        command = ["spectrum", *MODEL, "--levels", "2"]
+        spaced = invoke(capsys, [*command, flag, value])
+        joined = invoke(capsys, [*command, f"{flag}={value}"])
+        assert spaced == joined
+        assert spaced[0] == 2 and "expected one argument" not in spaced[2]
+
     def test_negative_integer_still_validated(self, capsys):
         code, _, err = invoke(capsys, ["verify", "--k", "-1", "--dim", "4", "--alpha", "1",
                                        "--omega", "1", "--g", "0.5"])
@@ -369,6 +378,20 @@ class TestErrorPaths:
         code, _, err = invoke(capsys, [])
         assert code == 2
         assert err.startswith("error:")
+
+
+class TestErrorMessages:
+    SWEEP = ["sweep", *MODEL, "--levels", "2", "--param", "g", "--lo", "0", "--hi", "0.4"]
+
+    @pytest.mark.parametrize("argv,line", [
+        (["parity-table", "--k", "0", "--dim", "4"], "k must be a positive integer, got 0"),
+        (["parity-table", "--k", "3", "--dim", "5"], "dim must be at least 2*k = 6, got 5"),
+        (["spectrum", "--k", "2", "--dim", "3", "--alpha", "1", "--omega", "1", "--g", "0.5",
+          "--levels", "2"], "dim must be at least 2*k = 4, got 3"),
+        ([*SWEEP, "--steps", "1"], "steps must be at least 2, got 1"),
+    ])
+    def test_range_errors_keep_their_text(self, capsys, argv, line):
+        assert invoke(capsys, argv) == (2, "", f"error: {line}\n")
 
 
 class TestTolerance:

@@ -48,8 +48,9 @@ class TestLadderMatrices:
         for dim in (1, 0, -3):
             with pytest.raises(ShapeError):
                 annihilation(dim)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match="must be an integer") as exc:
             annihilation(2.0)
+        assert type(exc.value) is ValueError
 
 
 class TestPowers:

@@ -1,4 +1,4 @@
-"""Contracts of the matrix helpers and the Hermitian eigensolver."""
+"""Contracts of the matrix validation and the Hermitian eigensolver."""
 
 import numpy as np
 import pytest
@@ -17,75 +17,15 @@ def random_hermitian(dim, rng):
     return (m + m.conj().T) / 2.0
 
 
-class TestArithmetic:
-    def test_identity_multiplication(self):
-        rng = np.random.default_rng(7)
-        m = random_matrix(5, rng)
-        assert np.array_equal(linalg.matmul(np.eye(5), m), m)
-
-    def test_sign_matrix_is_involution(self):
-        z = np.diag([1.0, -1.0])
-        assert np.array_equal(linalg.matmul(z, z), np.eye(2))
-
-    def test_sigma_x_squares_to_identity(self):
-        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.array_equal(linalg.matmul(sx, sx), np.eye(2))
-
-    def test_add_subtract_roundtrip(self):
-        rng = np.random.default_rng(11)
-        a, b = random_matrix(4, rng), random_matrix(4, rng)
-        assert np.allclose(linalg.subtract(linalg.add(a, b), b), a, rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("op", [linalg.add, linalg.subtract, linalg.matmul])
-    def test_dimension_mismatch_rejected(self, op):
-        with pytest.raises(ShapeError):
-            op(np.eye(2), np.eye(3))
-
+class TestAsSquareComplex:
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError):
-            linalg.frobenius_norm(np.ones((2, 3)))
+            linalg.as_square_complex(np.ones((2, 3)))
 
     def test_non_finite_rejected(self):
         bad = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(ShapeError):
-            linalg.adjoint(bad)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matmul_associativity(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c = (random_matrix(8, rng) for _ in range(3))
-        lhs = linalg.matmul(linalg.matmul(a, b), c)
-        rhs = linalg.matmul(a, linalg.matmul(b, c))
-        assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(lhs)
-
-
-class TestAdjoint:
-    def test_diagonal_imaginary(self):
-        assert np.array_equal(linalg.adjoint(np.diag([1j, 1j])), np.diag([-1j, -1j]))
-
-    def test_real_symmetric_fixed_point(self):
-        m = np.array([[1.0, 2.0], [2.0, 3.0]])
-        assert np.array_equal(linalg.adjoint(m), m)
-
-    def test_scalar_conjugation(self):
-        a = 2 + 3j
-        assert np.array_equal(linalg.adjoint(a * np.eye(2)), np.conj(a) * np.eye(2))
-
-    def test_adjoint_is_involution(self):
-        rng = np.random.default_rng(3)
-        m = random_matrix(6, rng)
-        assert np.array_equal(linalg.adjoint(linalg.adjoint(m)), m)
-
-
-class TestFrobeniusNorm:
-    def test_zero_matrix(self):
-        assert linalg.frobenius_norm(np.zeros((3, 3))) == 0.0
-
-    def test_identity(self):
-        assert linalg.frobenius_norm(np.eye(4)) == pytest.approx(2.0, abs=0)
-
-    def test_three_four_five(self):
-        assert linalg.frobenius_norm(np.array([[3.0, 4.0], [0.0, 0.0]])) == pytest.approx(5.0)
+            linalg.eig_hermitian(bad)
 
 
 class TestEigHermitian:

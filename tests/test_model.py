@@ -1,5 +1,6 @@
 """Hamiltonian assembly: hand-checked entries, symmetry, spectral facts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -40,8 +41,11 @@ class TestParams:
             ModelParams(alpha=1.0, omega=1.0, g=complex(math.inf, 0), k=1, dim=4)
 
     def test_replace(self):
-        assert HAND.replace(alpha=0.0).alpha == 0.0
-        assert HAND.replace(alpha=0.0).g == HAND.g
+        assert dataclasses.replace(HAND, alpha=0.0).alpha == 0.0
+        assert dataclasses.replace(HAND, alpha=0.0).g == HAND.g
+        assert type(dataclasses.replace(HAND, g=2).g) is complex
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            dataclasses.replace(HAND, k=0)
 
 
 class TestBlocks:
@@ -101,7 +105,7 @@ class TestFullMatrix:
     @pytest.mark.parametrize("k,dim", [(1, 16), (2, 16), (3, 18)])
     def test_coupling_phase_invariance(self, phi, k, dim):
         base = ModelParams(alpha=0.8, omega=1.0, g=0.5, k=k, dim=dim)
-        rotated = base.replace(g=base.g * np.exp(1j * phi))
+        rotated = dataclasses.replace(base, g=base.g * np.exp(1j * phi))
         w0 = eig_hermitian(build_full(base))[0]
         w1 = eig_hermitian(build_full(rotated))[0]
         assert np.max(np.abs(w0 - w1)) <= 1e-9

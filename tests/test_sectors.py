@@ -5,6 +5,8 @@ each compared with the dense route (build_blocks, verify_involution_solution,
 block_diagonalize, eig_hermitian), which stays as the oracle.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -89,7 +91,7 @@ class TestVerifyBand:
     @pytest.mark.parametrize("alpha", [0.7, -0.4, 0.0])
     @pytest.mark.parametrize("name,k,dim,signs", CANDIDATES, ids=[c[0] for c in CANDIDATES])
     def test_matches_dense_verification(self, name, k, dim, signs, alpha):
-        params = seeded_params(dim, k, dim).replace(alpha=alpha)
+        params = dataclasses.replace(seeded_params(dim, k, dim), alpha=alpha)
         band = _sectors.verify_band(params, signs, 1e-10)
         dense = dense_report(params, signs, 1e-10)
         assert band.passed == dense.passed == name.startswith("parity")
@@ -144,9 +146,9 @@ class TestSectorEigensystem:
     def test_levels_match_dense_blocks(self, k, dim, seed, variant):
         params = seeded_params(seed, k, dim)
         if variant == "g=0":
-            params = params.replace(g=0.0)
+            params = dataclasses.replace(params, g=0.0)
         elif variant == "alpha<0":
-            params = params.replace(alpha=-params.alpha)
+            params = dataclasses.replace(params, alpha=-params.alpha)
         system = _sectors.sector_eigensystem(params, 1e-10)
         for sectors, dense in zip(system.sectors, spectra._verified_blocks(params, 1e-10)):
             w_dense = eig_hermitian(dense)[0]

@@ -1,5 +1,6 @@
 """Sector spectra, sweeps and block-frame evolution against full-matrix oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -88,11 +89,11 @@ class TestSectorSpectrum:
     def test_matches_dense_blocks_and_full_matrix(self, k, dim, seed, variant):
         params = seeded_params(seed, k, dim)
         if variant == "g=0":
-            params = params.replace(g=0.0)
+            params = dataclasses.replace(params, g=0.0)
         elif variant == "alpha<0":
-            params = params.replace(alpha=-params.alpha)
+            params = dataclasses.replace(params, alpha=-params.alpha)
         elif variant == "alpha=0":
-            params = params.replace(alpha=0.0)
+            params = dataclasses.replace(params, alpha=0.0)
         levels = sector_spectrum(params, dim)
         full = eig_hermitian(build_full(params))[0]
         scale = np.max(np.abs(full))
@@ -170,7 +171,7 @@ class TestSweep:
         for value in np.linspace(0.0, 0.5, 6):
             point = [r[3] for r in rows if r[0] == value]
             ground.append(min(point))
-            full = eig_hermitian(build_full(self.BASE.replace(g=value)))[0]
+            full = eig_hermitian(build_full(dataclasses.replace(self.BASE, g=value)))[0]
             merged = np.sort(point)
             assert np.allclose(merged[:2], full[:2], rtol=0, atol=1e-9)
         assert all(b < a + 1e-15 for a, b in zip(ground, ground[1:]))
@@ -181,7 +182,7 @@ class TestSweep:
             assert len(sweep(spec)) == 3 * 2
 
     def test_coupling_sweep_keeps_phase(self):
-        base = self.BASE.replace(g=0.1j)
+        base = dataclasses.replace(self.BASE, g=0.1j)
         spec = SweepSpec(base=base, param="g", lo=0.0, hi=0.4, steps=3, levels=1)
         at = spec.params_at(0.4)
         assert at.g == pytest.approx(0.4j, abs=1e-15)
@@ -319,7 +320,7 @@ class TestGroundState:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_top_block_ground_state_is_lowest_eigenvector(self, k):
         # The CLI tests cover alpha > 0, where the bottom block holds it.
-        params = seeded_params(k, k, 8 * k).replace(alpha=-0.6)
+        params = dataclasses.replace(seeded_params(k, k, 8 * k), alpha=-0.6)
         h = build_full(params)
         w = eig_hermitian(h)[0]
         psi = ground_state(params)
@@ -332,7 +333,7 @@ class TestGroundState:
         expected = np.zeros(8, dtype=complex)
         expected[0], expected[4] = -1 / math.sqrt(2), 1 / math.sqrt(2)
         assert np.allclose(ground_state(params), expected, rtol=0, atol=1e-15)
-        flipped = ground_state(params.replace(alpha=-0.5))
+        flipped = ground_state(dataclasses.replace(params, alpha=-0.5))
         expected[0] = 1 / math.sqrt(2)
         assert np.allclose(flipped, expected, rtol=0, atol=1e-15)
 
