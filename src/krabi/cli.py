@@ -19,11 +19,13 @@ import sys
 
 import numpy as np
 
+from ._sectors import real_signs, verify_band
 from .errors import HermiticityError, ShapeError, SolutionError
 from .linalg import dump_matrix, eig_hermitian, load_vector
 from .model import ModelParams, build_blocks, build_full
-from .parity import bosonic_parity, decompose, generalized_parity, two_photon_parity
-from .riccati import DEFAULT_TOLERANCE, residual, verify_involution_solution
+from .parity import (bosonic_parity_signs, decompose, generalized_parity_signs,
+                     two_photon_parity_signs)
+from .riccati import DEFAULT_TOLERANCE, _spectra_match, residual
 from .spectra import SweepSpec, _evolve_csv, sector_spectrum, sweep, sweep_csv
 
 _FLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -146,18 +148,21 @@ def _params_from(args) -> ModelParams:
 
 def _cmd_verify(args) -> int:
     params = _params_from(args)
-    blocks = build_blocks(params)
     if args.candidate == "xk":
-        x = generalized_parity(params.k, params.dim)
+        signs = generalized_parity_signs(params.k, params.dim)
     elif args.candidate == "p":
-        x = bosonic_parity(params.dim)
+        signs = bosonic_parity_signs(params.dim)
     else:
-        x = two_photon_parity(params.dim)
-    report = verify_involution_solution(
-        blocks, x, tol=args.tol, params=params, compare_spectra=args.spectra
-    )
-    if args.dump is not None:
-        dump_matrix(residual(blocks, x), args.dump)
+        signs = two_photon_parity_signs(params.dim)
+    report = verify_band(params, real_signs(signs), args.tol)
+    report.params = params
+    compare = args.spectra and report.passed
+    if compare or args.dump is not None:
+        blocks, x = build_blocks(params), np.diag(signs.astype(np.complex128))
+        if compare:
+            report.spectra_match = _spectra_match(blocks, x)
+        if args.dump is not None:
+            dump_matrix(residual(blocks, x), args.dump)
     _emit([report.to_json() + "\n"], args.out)
     return 0 if report.passed else 1
 

@@ -157,12 +157,17 @@ def verify_involution_solution(
     )
 
     if compare_spectra and report.passed:
-        top, bottom = _decoupled_blocks(blocks, x)
-        merged = np.sort(np.concatenate([eig_hermitian(top)[0], eig_hermitian(bottom)[0]]))
-        full = eig_hermitian(blocks.full_matrix())[0]
-        report.spectra_match = float(np.max(np.abs(merged - full)))
+        report.spectra_match = _spectra_match(blocks, x)
 
     return report
+
+
+def _spectra_match(blocks: BlockOperator, x: np.ndarray) -> float:
+    """Largest deviation of the merged decoupled block spectra from the full spectrum."""
+    top, bottom = _decoupled_blocks(blocks, x)
+    merged = np.sort(np.concatenate([eig_hermitian(top)[0], eig_hermitian(bottom)[0]]))
+    full = eig_hermitian(blocks.full_matrix())[0]
+    return float(np.max(np.abs(merged - full)))
 
 
 def similarity_transform(x, *, rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:

@@ -8,17 +8,19 @@ spectrum deviation reported by the CLI).
 
 sector_spectrum and evolution verify the parity on the band and solve
 each block as k real tridiagonal sector matrices (:mod:`krabi._sectors`).
-Only sweep still uses the dense blocks, one grid point at a time: the
-sector route makes it faster, but the benchmark sizes its input pool by
-speed, and the larger pool pushes sweep-small past its memory bound, so it
-waits for a batched sweep.
+Only sweep still solves the dense blocks, one grid point at a time: the
+faster sector route grows the benchmark's speed-sized input pool past
+sweep-small's memory bound, so it waits for a batched sweep.
 
 Time evolution uses eigendecomposition rather than ODE stepping, so there
 is no step-size parameter to tune: the state is rotated into the block
-frame with the closed-form inverse transform, each block component picks
-up exact phase factors exp(-i*w*t), and the result is rotated back. The
-parity is diagonal with entries +-1, so both frame changes are elementwise
-sign flips on the sign vector s:
+frame with the closed-form inverse transform, its coefficients on each
+sector's eigenvectors are taken once, each picks up the exact phase
+exp(-i*w*t), and the result is rotated back. States are built one span of
+time steps at a time, so a streamed trajectory takes memory independent of
+the step count, apart from the 8-byte time grid. The parity is diagonal
+with entries +-1, so both frame changes are elementwise sign flips on the
+sign vector s:
 
     block frame:    ((psi_u + s*psi_l) / 2, (psi_l - s*psi_u) / 2)
     physical frame: (b_u - s*b_l, s*b_u + b_l)
@@ -214,68 +216,51 @@ def ground_state(params: ModelParams, *, tol: float = DEFAULT_TOLERANCE) -> np.n
     return _ground_state(sector_eigensystem(params, tol))
 
 
-def _block_trajectories(system: SectorSystem, state: np.ndarray, times: np.ndarray) -> list:
-    """Each block's D * (u @ (c * exp(-i w t))), sector by sector, where
-    c = u.T @ (conj(D) * b)[l::k] and b is the state's block-frame component."""
-    signs, phase, sectors = system
-    dim, k = signs.size, len(sectors[0])
-    upper, lower = state[:dim], state[dim:]
-    frames = ((upper + signs * lower) / 2, (lower - signs * upper) / 2)
-    # Each sector's phase table and its product with the coefficients share one
-    # buffer; columns are grid times.
-    work = np.empty((-(-dim // k), times.size), dtype=np.complex128)
-    blocks = []
-    for frame, block in zip(frames, sectors):
-        gauged = np.conj(phase) * frame
-        trajectory = np.empty((dim, times.size), dtype=np.complex128)
-        for l, (w, u) in enumerate(block):
-            coeff = u.T @ gauged[l::k]
-            table = work[: w.size]
-            np.multiply(-1j, np.outer(w, times), out=table)
-            np.exp(table, out=table)
-            np.multiply(coeff[:, None], table, out=table)
-            # Real u times complex table: one real product over (re, im) columns,
-            # written straight into the sector's rows.
-            np.matmul(u, table.view(np.float64), out=trajectory[l::k].view(np.float64))
-        trajectory *= phase[:, None]
-        blocks.append(trajectory)
-    return blocks
-
-
 def _check_length(params: ModelParams, spec: EvolutionSpec) -> None:
     size = spec.initial_state.size
     if size != 2 * params.dim:
         raise ShapeError(f"initial state has length {size}, expected 2*dim = {2 * params.dim}")
 
 
-def _evolve(params: ModelParams, tol: float, spec_from):
-    """Evolve ``spec_from(eigensystem)`` through the blocks: ``(times, states_at)``.
+def _propagator(system: SectorSystem, state: np.ndarray, dt: float):
+    """``states_at(start, stop)``: physical-frame states at times j*dt, start <= j < stop.
 
-    ``states_at(start, stop)`` builds the physical-frame states of grid
-    times start .. stop - 1 from the two block trajectories. The eigensystem
-    is released before, and a caller that takes the states a block at a time
-    never holds the whole (n_times, 2*dim) array.
+    Each sector keeps its eigenpairs (w, u) and the coefficients
+    c = u.T @ (conj(D) * b)[l::k] of the block-frame state b; a block's
+    trajectory is D * (u @ (c * exp(-i w t))). Row 0 is ``state`` exactly.
     """
-    system = sector_eigensystem(params, tol)
-    spec = spec_from(system)
-    signs = system.signs
-    times = np.arange(spec.steps + 1, dtype=np.float64) * spec.dt
-    block_top, block_bottom = _block_trajectories(system, spec.initial_state, times)
-    del system
-    dim = signs.size
+    signs, phase, sectors = system
+    dim, k = signs.size, len(sectors[0])
+    upper, lower = state[:dim], state[dim:]
+    frames = ((upper + signs * lower) / 2, (lower - signs * upper) / 2)
+    kept = [[(w, u, u.T @ b[l::k]) for l, (w, u) in enumerate(block)]
+            for b, block in zip((np.conj(phase) * frame for frame in frames), sectors)]
     column = signs[:, None]
 
     def states_at(start: int, stop: int) -> np.ndarray:
-        states = np.empty((stop - start, 2 * dim), dtype=np.complex128)
+        times = np.arange(start, stop, dtype=np.float64) * dt
+        # Each sector's phase table, then its product with c, in one buffer.
+        work = np.empty((-(-dim // k), times.size), dtype=np.complex128)
+        top, bottom = (np.empty((dim, times.size), dtype=np.complex128) for _ in range(2))
+        for trajectory, block in zip((top, bottom), kept):
+            for l, (w, u, c) in enumerate(block):
+                table = work[: w.size]
+                np.multiply(-1j, np.outer(w, times), out=table)
+                np.exp(table, out=table)
+                np.multiply(c[:, None], table, out=table)
+                # Real u times complex table: one real product over (re, im) columns,
+                # written straight into the sector's rows.
+                np.matmul(u, table.view(np.float64), out=trajectory[l::k].view(np.float64))
+            trajectory *= phase[:, None]
+        states = np.empty((times.size, 2 * dim), dtype=np.complex128)
         upper, lower = states[:, :dim].T, states[:, dim:].T
-        top, bottom = block_top[:, start:stop], block_bottom[:, start:stop]
         np.subtract(top, np.multiply(column, bottom, out=upper), out=upper)
         np.add(np.multiply(column, top, out=lower), bottom, out=lower)
         if start == 0:
-            states[0] = spec.initial_state  # t = 0 is the input, exactly
+            states[0] = state  # t = 0 is the input, exactly
         return states
 
-    return times, states_at
+    return states_at
 
 
 def evolve(
@@ -293,33 +278,37 @@ def evolve(
     roundoff even though the block frame rescales norms.
     """
     _check_length(params, spec)
-    times, states_at = _evolve(params, tol, lambda system: spec)
-    return times, states_at(0, times.size)
+    states_at = _propagator(sector_eigensystem(params, tol), spec.initial_state, spec.dt)
+    times = np.arange(spec.steps + 1, dtype=np.float64) * spec.dt
+    states = np.empty((times.size, 2 * params.dim), dtype=np.complex128)
+    span = _steps_per(2 * params.dim)[1]
+    for start in range(0, times.size, span):
+        states[start : start + span] = states_at(start, min(start + span, times.size))
+    return times, states
 
 
 def _evolve_csv(params: ModelParams, tol: float, dt: float, steps: int,
                 initial_state=None) -> Iterator[str]:
-    """``trajectory_chunks(*evolve(...))`` without the whole state array.
+    """``trajectory_chunks(*evolve(...))``, propagating one span at a time.
 
     Starts from ``initial_state`` or, when it is None, from the ground state,
-    taken from the same decomposition of the blocks as the evolution.
+    taken from the same sector eigensystem as the evolution.
     """
-    if initial_state is None:
-        def spec_from(system):
-            return EvolutionSpec(initial_state=_ground_state(system), dt=dt, steps=steps)
-    else:
+    if initial_state is not None:
         spec = EvolutionSpec(initial_state=initial_state, dt=dt, steps=steps)
         _check_length(params, spec)
-
-        def spec_from(system):
-            return spec
-    times, states_at = _evolve(params, tol, spec_from)
-    return _csv_chunks(times, states_at, 2 * params.dim)
+    system = sector_eigensystem(params, tol)
+    if initial_state is None:
+        spec = EvolutionSpec(initial_state=_ground_state(system), dt=dt, steps=steps)
+    times = np.arange(steps + 1, dtype=np.float64) * spec.dt
+    return _csv_chunks(times, _propagator(system, spec.initial_state, spec.dt), 2 * params.dim)
 
 
 _TRAJECTORY_HEADER = "t,component_index,re,im\n"
 #: Values formatted per chunk, at most: bounds the chunks' working set.
 _CHUNK_VALUES = 4096
+#: Complex values propagated per span of whole chunks, about: bounds evolve's working set.
+_SPAN_VALUES = 16384
 #: The words after the re and im fields of a row: "," and "\n", zero-padded.
 _SEPARATORS = np.frombuffer(b",\0\0\0\n\0\0\0", dtype=np.uint32)
 
@@ -341,30 +330,39 @@ def trajectory_chunks(times, states) -> Iterator[str]:
     return _csv_chunks(times, lambda start, stop: states[start:stop], states.shape[-1])
 
 
+def _steps_per(comps: int) -> tuple[int, int]:
+    """Time steps of ``comps`` components per CSV chunk and per span of whole chunks."""
+    chunk = max(1, _CHUNK_VALUES // (2 * comps))
+    return chunk, chunk * max(1, _SPAN_VALUES // (chunk * comps))
+
+
 def _csv_chunks(times: np.ndarray, states_at, comps: int) -> Iterator[str]:
     """Chunks of :func:`trajectory_chunks`; ``states_at(start, stop)`` gives the
-    states of ``times[start:stop]``."""
+    states of ``times[start:stop]`` and is asked for one span at a time."""
     yield _TRAJECTORY_HEADER
     steps = len(times)
     if steps == 0 or comps == 0:
         return
-    time_fields = format_fields(times)
     # Row: t | ",idx," zero-padded to whole words | re | "," | im | "\n".
     indices = np.array([f",{i}," for i in range(comps)], dtype=bytes)
     index_words = -(-indices.dtype.itemsize // 4)
     indices = indices.astype(f"S{4 * index_words}").view(np.uint32)
-    block = min(steps, max(1, _CHUNK_VALUES // (2 * comps)))
+    chunk, span = _steps_per(comps)
+    block = min(steps, chunk)
     values_at = WORDS + index_words
     rows = np.zeros((block, comps, values_at + 2 * (WORDS + 1)), dtype=np.uint32)
     rows[:, :, WORDS:values_at] = indices.reshape(comps, index_words)
     pairs = rows[:, :, values_at:].reshape(block, comps, 2, WORDS + 1)
     pairs[:, :, :, WORDS] = _SEPARATORS
-    for start in range(0, steps, block):
-        n = min(block, steps - start)
-        rows[:n, :, :WORDS] = time_fields[start : start + n, None, :]
-        values = states_at(start, start + n).view(np.float64).reshape(n, comps, 2)
-        format_fields(values, out=pairs[:n, :, :, :WORDS])
-        yield rows[:n].tobytes().translate(None, b"\0").decode("ascii")
+    for first in range(0, steps, span):
+        last = min(first + span, steps)
+        time_fields = format_fields(times[first:last])
+        values = states_at(first, last).view(np.float64).reshape(last - first, comps, 2)
+        for start in range(0, last - first, block):
+            n = min(block, last - first - start)
+            rows[:n, :, :WORDS] = time_fields[start : start + n, None, :]
+            format_fields(values[start : start + n], out=pairs[:n, :, :, :WORDS])
+            yield rows[:n].tobytes().translate(None, b"\0").decode("ascii")
 
 
 def trajectory_csv(times, states) -> str:

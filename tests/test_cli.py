@@ -94,7 +94,7 @@ class TestVerify:
         path = str(tmp_path / "report.json")
         code, out, _ = invoke(capsys, ["verify", *MODEL, "--out", path])
         assert code == 0 and out == ""
-        assert json.loads(open(path).read())["is_involution"] is True
+        assert json.loads((tmp_path / "report.json").read_text())["is_involution"] is True
 
     def test_report_carries_defects_and_verdict(self, capsys):
         code, out, _ = invoke(capsys, ["verify", *MODEL, "--candidate", "p"])
@@ -104,18 +104,42 @@ class TestVerify:
         assert report["intertwining_defect"] > 1e-3
 
     def test_exit_code_follows_passed_not_residual(self, capsys, monkeypatch):
-        def not_an_involution(blocks, x, **kwargs):
+        def not_an_involution(params, signs, tol):
             return VerificationReport(
                 residual_norm=0.0, relative_residual=0.0, involution_defect=1.0,
                 intertwining_defect=0.0, is_involution=False, intertwines=True,
-                tolerance=kwargs["tol"])
+                tolerance=tol)
 
-        monkeypatch.setattr(cli, "verify_involution_solution", not_an_involution)
+        monkeypatch.setattr(cli, "verify_band", not_an_involution)
         code, out, _ = invoke(capsys, ["verify", *MODEL])
         report = json.loads(out)
         assert report["relative_residual"] == 0.0 and report["is_involution"] is False
         assert code == 1
 
+
+    @pytest.mark.parametrize("k,candidate,expected", [
+        (1, "xk", 0), (2, "xk", 0), (3, "xk", 0), (4, "xk", 0), (2, "p", 1), (3, "t", 1)])
+    def test_zero_tolerance_verdict_comes_from_the_band(self, capsys, k, candidate, expected):
+        # The dense residual of the generalized parity is at roundoff, the band's is zero.
+        code, out, _ = invoke(capsys, ["verify", "--k", str(k), "--dim", "16", "--alpha", "0.7",
+                                       "--omega", "1", "--g=0.3+0.1i", "--tol", "0",
+                                       "--candidate", candidate])
+        report = json.loads(out)
+        assert code == expected and report["passed"] is (expected == 0)
+        if expected == 0:
+            assert report["residual_norm"] == 0.0
+
+    @pytest.mark.parametrize("extra", [[], ["--candidate", "p", "--spectra"]])
+    def test_builds_no_dense_matrix_without_dump_or_passing_spectra(self, capsys, monkeypatch,
+                                                                    extra):
+        expected = invoke(capsys, ["verify", *MODEL, *extra])
+
+        def dense(*_args, **_kwargs):
+            raise AssertionError("dense matrix built during krabi verify")
+
+        monkeypatch.setattr(cli, "build_blocks", dense)
+        assert invoke(capsys, ["verify", *MODEL, *extra]) == expected
+        assert json.loads(expected[1])["spectra_match"] is None
 
 class TestParityTable:
     def test_alternating_signs(self, capsys):

@@ -83,7 +83,7 @@ class TestSerialization:
     def test_matrix_format_header(self, tmp_path):
         path = str(tmp_path / "m.txt")
         linalg.dump_matrix(np.eye(3), path)
-        lines = open(path).read().splitlines()
+        lines = (tmp_path / "m.txt").read_text().splitlines()
         assert lines[0] == "3"
         assert len(lines) == 1 + 9
         assert lines[1].split() == ["1.0000000000000000e+00", "0.0000000000000000e+00"]

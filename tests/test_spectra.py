@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,43 @@ def seeded_params(seed, k, dim):
     rng = np.random.default_rng(seed)
     return ModelParams(alpha=rng.random(), omega=0.5 + rng.random(),
                        g=rng.random() * np.exp(2j * np.pi * rng.random()), k=k, dim=dim)
+
+
+def random_state(seed, dim):
+    rng = np.random.default_rng(seed)
+    state = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
+    return state / np.linalg.norm(state)
+
+
+def three_spans(dim):
+    """A step count whose grid takes three spans of evolve's propagation."""
+    span = spectra._steps_per(2 * dim)[1]
+    return 2 * span + span // 2
+
+
+def whole_grid_states(params, state, dt, steps, tol=1e-9):
+    """Reference: the sector propagation of evolve over the whole grid in one
+    product per sector, written with fresh temporaries."""
+    k, dim = params.k, params.dim
+    signs, phase, sectors = _sectors.sector_eigensystem(params, tol)
+    upper, lower = state[:dim], state[dim:]
+    times = np.arange(steps + 1, dtype=np.float64) * dt
+    blocks = []
+    for frame, block in zip(((upper + signs * lower) / 2, (lower - signs * upper) / 2),
+                            sectors):
+        gauged = np.conj(phase) * frame
+        trajectory = np.zeros((dim, times.size), dtype=complex)
+        for l, (w, u) in enumerate(block):
+            coeff = u.T @ gauged[l::k]
+            table = coeff[:, None] * np.exp(-1j * np.outer(w, times))
+            trajectory[l::k] = (u @ table.view(np.float64)).view(np.complex128)
+        blocks.append(trajectory * phase[:, None])
+    block_top, block_bottom = blocks
+    column = signs[:, None]
+    expected = np.ascontiguousarray(np.hstack([(block_top - column * block_bottom).T,
+                                               (column * block_top + block_bottom).T]))
+    expected[0] = state
+    return expected
 
 
 class TestSectorSpectrum:
@@ -247,33 +285,28 @@ class TestEvolve:
 
     @pytest.mark.parametrize("k,dim", [(1, 16), (2, 64), (3, 50), (4, 128)])
     def test_equals_out_of_place_frame_changes_bitwise(self, k, dim):
-        # Reference: the same arithmetic written with fresh temporaries.
         params = seeded_params(k, k, dim)
-        rng = np.random.default_rng(dim)
-        state = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
-        state /= np.linalg.norm(state)
+        state = random_state(dim, dim)
         spec = EvolutionSpec(initial_state=state, dt=0.07, steps=30)
-        signs, phase, sectors = _sectors.sector_eigensystem(params, 1e-9)
-        upper, lower = state[:dim], state[dim:]
-        times = np.arange(31, dtype=np.float64) * 0.07
-        blocks = []
-        for frame, block in zip(((upper + signs * lower) / 2, (lower - signs * upper) / 2),
-                                sectors):
-            gauged = np.conj(phase) * frame
-            trajectory = np.zeros((dim, times.size), dtype=complex)
-            for l, (w, u) in enumerate(block):
-                coeff = u.T @ gauged[l::k]
-                table = coeff[:, None] * np.exp(-1j * np.outer(w, times))
-                trajectory[l::k] = (u @ table.view(np.float64)).view(np.complex128)
-            blocks.append(trajectory * phase[:, None])
-        block_top, block_bottom = blocks
-        column = signs[:, None]
-        expected = np.ascontiguousarray(np.hstack([(block_top - column * block_bottom).T,
-                                                   (column * block_top + block_bottom).T]))
-        expected[0] = state
         got_times, got = evolve(params, spec, tol=1e-9)
-        assert np.array_equal(got_times, times)
+        assert np.array_equal(got_times, np.arange(31, dtype=np.float64) * 0.07)
+        expected = whole_grid_states(params, state, 0.07, 30)
         assert np.array_equal(got.view(np.float64), expected.view(np.float64))
+
+    @pytest.mark.parametrize("k,dim", [(1, 64), (2, 128), (3, 50), (4, 66)])
+    def test_spans_match_the_whole_grid_and_the_full_propagator(self, k, dim):
+        # Each span is its own matmul, so BLAS may sum in another order than
+        # one product over the whole grid: equal to roundoff, not bitwise.
+        params = seeded_params(k + 20, k, dim)
+        state = random_state(dim + 1, dim)
+        steps = three_spans(dim)
+        _, got = evolve(params, EvolutionSpec(initial_state=state, dt=0.03, steps=steps))
+        assert np.max(np.abs((got - whole_grid_states(params, state, 0.03, steps))
+                             .view(np.float64))) <= 1e-15
+        w, v = eig_hermitian(build_full(params))
+        times = np.arange(steps + 1) * 0.03
+        oracle = (v @ (np.exp(-1j * np.outer(w, times)) * (v.conj().T @ state)[:, None])).T
+        assert np.max(np.linalg.norm(got - oracle, axis=1)) <= 1e-10
 
     @pytest.mark.parametrize("bad", [2.0, 1j, -1.0 + 1e-15])
     def test_rejects_parity_that_is_not_a_sign_vector(self, monkeypatch, bad):
@@ -314,6 +347,37 @@ class TestEvolve:
         lines = text.splitlines()
         assert lines[0] == "t,component_index,re,im"
         assert len(lines) == 1 + 3 * 4
+
+
+class TestStreamedEvolve:
+    """krabi evolve's CSV, propagated and formatted one span at a time."""
+
+    @pytest.mark.parametrize("state", ["ground", "file"])
+    @pytest.mark.parametrize("k,dim", [(1, 64), (2, 128), (3, 50), (4, 66)])
+    def test_equals_the_csv_of_evolve_bytewise(self, k, dim, state):
+        params = seeded_params(k + 10, k, dim)
+        steps = three_spans(dim)
+        initial = ground_state(params) if state == "ground" else random_state(k, dim)
+        streamed = "".join(spectra._evolve_csv(params, 1e-10, 0.05, steps,
+                                               None if state == "ground" else initial))
+        spec = EvolutionSpec(initial_state=initial, dt=0.05, steps=steps)
+        # Bytes, not str: pytest's diff of two long texts takes minutes.
+        assert streamed.encode() == trajectory_csv(*evolve(params, spec)).encode()
+
+    def test_peak_memory_does_not_grow_with_steps(self):
+        params = ModelParams(alpha=0.7, omega=1.0, g=0.03 + 0.01j, k=2, dim=128)
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                for _ in spectra._evolve_csv(params, 1e-10, 0.01, steps):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(200)  # first use fills the formatter's cached tables
+        assert abs(peak(8000) - peak(200)) <= 0.5e6
 
 
 class TestGroundState:
@@ -377,7 +441,7 @@ class TestTrajectoryCsv:
         times, states = evolve(params, spec)
         assert trajectory_csv(times, states) == per_line_trajectory_csv(times, states)
 
-    @pytest.mark.parametrize("steps,comps", [(3, 4), (50, 100), (4, 3000)])
+    @pytest.mark.parametrize("steps,comps", [(3, 4), (50, 100), (400, 100), (4, 3000)])
     def test_chunks_are_header_then_whole_time_steps(self, steps, comps):
         rng = np.random.default_rng(comps)
         times = np.arange(steps) * 0.1
