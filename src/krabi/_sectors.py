@@ -19,6 +19,8 @@ times real vectors supported on one sector.
 Verification runs on the band as well, in O(dim): the parity is checked with
 the same three quantities and thresholds as
 :func:`krabi.riccati.verify_involution_solution` applies to the dense blocks.
+The generalized parity's defects there are exact zeros (s_(p+k) = -s_p), so
+every solve here verifies it at tolerance 0, once per model.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ def verify_band(params: ModelParams, signs: np.ndarray, tol: float) -> Verificat
         is_involution=involution_defect <= tol * max(1.0, x_norm**2),
         intertwines=intertwining_defect <= tol * max(1.0, 2.0 * block_norm),
         tolerance=float(tol),
+        params=params,
     )
 
 
@@ -110,18 +113,18 @@ def _solve_tridiagonal(solver, diagonal: np.ndarray, off: np.ndarray):
         raise EigenSolverError(f"Hermitian eigensolver failed to converge: {exc}") from exc
 
 
-def _verified_sectors(params: ModelParams, tol: float):
+def _verified_sectors(params: ModelParams):
     """Verify the generalized parity on the band; return ``(signs, sectors)``.
 
     ``sectors[b][l]`` is the (diagonal, off-diagonal) pair of block b (0 top,
     1 bottom) on sector l + 1: ``omega*p +- alpha*s_p`` and ``+-|g|*amp_p``
     on Fock indices l, l + k, .... Raises SolutionError, as
     :func:`krabi.riccati.block_diagonalize` does, when the parity is not a
-    real +-1 vector or fails verification at ``tol``.
+    real +-1 vector or fails verification at tolerance 0.
     """
     k, dim = params.k, params.dim
     signs = real_signs(generalized_parity_signs(k, dim))
-    _require_passed(verify_band(params, signs, tol), tol)
+    _require_passed(verify_band(params, signs, 0.0))
     diagonal, amplitudes = band(params)
     coupling = abs(params.g) * amplitudes
     sectors = []
@@ -147,26 +150,26 @@ class SectorSystem(NamedTuple):
     sectors: tuple
 
 
-def sector_eigensystem(params: ModelParams, tol: float) -> SectorSystem:
+def sector_eigensystem(params: ModelParams) -> SectorSystem:
     """Verify the generalized parity on the band, then solve every sector.
 
     Raises SolutionError, as :func:`krabi.riccati.block_diagonalize` does,
-    when the parity is not a real +-1 vector or fails verification at ``tol``.
+    when the parity is not a real +-1 vector or fails verification exactly.
     """
-    signs, sectors = _verified_sectors(params, tol)
+    signs, sectors = _verified_sectors(params)
     solved = tuple(tuple(_solve_tridiagonal(np.linalg.eigh, *pair) for pair in block)
                    for block in sectors)
     return SectorSystem(signs, gauge(params.g, params.k, params.dim), solved)
 
 
-def sector_levels(params: ModelParams, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def sector_levels(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Every eigenvalue of each decoupled block, ascending: ``(top, bottom)``.
 
     The parity is verified on the band as in :func:`sector_eigensystem`; each
     block's levels are the merged eigenvalues of its k real sector
     tridiagonals. The gauge D is a diagonal unitary, so it does not enter.
     """
-    _, sectors = _verified_sectors(params, tol)
+    _, sectors = _verified_sectors(params)
     top, bottom = (np.sort(np.concatenate([_solve_tridiagonal(np.linalg.eigvalsh, *pair)
                                            for pair in block]))
                    for block in sectors)

@@ -7,7 +7,8 @@ intertwining check above tolerance), 2 usage or validation error. Every
 error path prints a single line "error: <reason>" to stderr. Floats in CSV
 output use 17 significant digits in scientific notation, so identical
 invocations produce byte-identical output. A flag may take a negative
-number after a space (--g -0.1+0.2i, --alpha -1e-3, --tol -inf).
+number after a space (--g -0.1+0.2i, --alpha -1e-3, --tol -inf). Only verify
+takes --tol; spectrum, sweep and evolve verify the parity at tolerance 0.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from ._sectors import real_signs, verify_band
 from .errors import HermiticityError, ShapeError, SolutionError
 from .linalg import dump_matrix, eig_hermitian, load_vector
 from .model import ModelParams, build_blocks, build_full
-from .parity import (bosonic_parity_signs, decompose, generalized_parity_signs,
-                     two_photon_parity_signs)
+from .parity import bosonic_parity_signs, generalized_parity_signs, two_photon_parity_signs
 from .riccati import DEFAULT_TOLERANCE, _spectra_match, residual
 from .spectra import SweepSpec, _evolve_csv, sector_spectrum, sweep, sweep_csv
 
@@ -80,8 +80,6 @@ def _add_model_args(sub, with_levels=False):
     sub.add_argument("--omega", type=float, required=True, help="mode frequency, > 0")
     sub.add_argument("--g", type=parse_complex, required=True,
                      help="coupling, literal a, a+bi or a-bi")
-    sub.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
-                     help="relative verification tolerance, finite and >= 0")
     if with_levels:
         sub.add_argument("--levels", type=_positive_int, required=True,
                          help="lowest levels per block")
@@ -94,6 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = subs.add_parser("verify", help="verify a parity candidate against the Riccati equation")
     _add_model_args(p_verify)
+    p_verify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
+                          help="relative verification tolerance, finite and >= 0")
     p_verify.add_argument("--candidate", choices=("xk", "p", "t"), default="xk",
                           help="xk: generalized parity; p: bosonic parity; t: two-photon parity")
     p_verify.add_argument("--spectra", action="store_true",
@@ -155,7 +155,6 @@ def _cmd_verify(args) -> int:
     else:
         signs = two_photon_parity_signs(params.dim)
     report = verify_band(params, real_signs(signs), args.tol)
-    report.params = params
     compare = args.spectra and report.passed
     if compare or args.dump is not None:
         blocks, x = build_blocks(params), np.diag(signs.astype(np.complex128))
@@ -168,7 +167,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_parity_table(args) -> int:
-    sd = decompose(args.k, args.dim)
+    signs = generalized_parity_signs(args.k, args.dim)  # validates k and dim first
     if args.dim % args.k != 0:
         print(
             f"warning: k = {args.k} does not divide dim = {args.dim}; "
@@ -176,10 +175,8 @@ def _cmd_parity_table(args) -> int:
             file=sys.stderr,
         )
     lines = ["p,n,l,sign"]
-    for p in range(sd.dim):
-        n, l = sd.sector_of(p)
-        sign = -1 if n % 2 else 1
-        lines.append(f"{p},{n},{l},{sign:+d}")
+    for p, sign in enumerate(signs.tolist()):
+        lines.append(f"{p},{p // args.k},{p % args.k + 1},{sign:+d}")
     _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
@@ -192,7 +189,7 @@ def _cmd_spectrum(args) -> int:
         )
     # Deviation is measured over the complete spectra, not just the
     # reported lowest levels.
-    full_top, full_bottom = sector_spectrum(params, params.dim, tol=args.tol)
+    full_top, full_bottom = sector_spectrum(params, params.dim)
     w_top, w_bottom = full_top[: args.levels], full_bottom[: args.levels]
     merged = np.sort(np.concatenate([full_top, full_bottom]))
     full = eig_hermitian(build_full(params))[0]
@@ -210,7 +207,7 @@ def _cmd_sweep(args) -> int:
     params = _params_from(args)
     spec = SweepSpec(base=params, param=args.param, lo=args.lo, hi=args.hi,
                      steps=args.steps, levels=args.levels)
-    rows = sweep(spec, tol=args.tol, jobs=args.jobs)
+    rows = sweep(spec, jobs=args.jobs)
     _emit([sweep_csv(rows)], args.out)
     return 0
 
@@ -221,7 +218,7 @@ def _cmd_evolve(args) -> int:
         print(f"error: t-max must be positive and finite, got {args.t_max}", file=sys.stderr)
         return 2
     state = None if args.state == "ground" else load_vector(args.state)
-    _emit(_evolve_csv(params, args.tol, args.t_max / args.steps, args.steps, state), args.out)
+    _emit(_evolve_csv(params, args.t_max / args.steps, args.steps, state), args.out)
     return 0
 
 

@@ -43,23 +43,24 @@ def hermiticity_defect(a) -> float:
     return float(np.linalg.norm(a - a.conj().T))
 
 
-def eig_hermitian(a, rtol: float = HERMITICITY_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
-    Checks Hermiticity to ``rtol * ||a||_F``, symmetrizes to ``(a + a^dag)/2``
-    to absorb assembly roundoff, and diagonalizes. Returns ``(w, v)`` with
-    real eigenvalues ``w`` in ascending order and eigenvectors as the columns
-    of the unitary matrix ``v``, so that ``a @ v[:, i] = w[i] * v[:, i]``.
+    Checks Hermiticity to ``HERMITICITY_RTOL * ||a||_F``, symmetrizes to
+    ``(a + a^dag)/2`` to absorb assembly roundoff, and diagonalizes. Returns
+    ``(w, v)``: real eigenvalues ``w`` ascending and eigenvectors as the
+    columns of the unitary ``v``, so that ``a @ v[:, i] = w[i] * v[:, i]``.
 
     Raises HermiticityError for non-Hermitian input and EigenSolverError if
     the iteration fails to converge (which indicates a bug, not bad input).
     """
     a = as_square_complex(a, "a")
-    norm = float(np.linalg.norm(a))
-    if hermiticity_defect(a) > rtol * norm:
+    bound = HERMITICITY_RTOL * float(np.linalg.norm(a))
+    defect = hermiticity_defect(a)
+    if defect > bound:
         raise HermiticityError(
-            f"matrix is not Hermitian: defect {hermiticity_defect(a):.3e} "
-            f"exceeds {rtol:.1e} * ||a|| = {rtol * norm:.3e}"
+            f"matrix is not Hermitian: defect {defect:.3e} "
+            f"exceeds {HERMITICITY_RTOL:.1e} * ||a|| = {bound:.3e}"
         )
     h = (a + a.conj().T) / 2.0
     try:

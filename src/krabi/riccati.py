@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, SolutionError
-from .linalg import as_square_complex, eig_hermitian
+from .linalg import HERMITICITY_RTOL, as_square_complex, eig_hermitian
 from .model import BlockOperator, ModelParams
 
 #: Default relative verification tolerance. Two orders of headroom above
@@ -170,7 +170,7 @@ def _spectra_match(blocks: BlockOperator, x: np.ndarray) -> float:
     return float(np.max(np.abs(merged - full)))
 
 
-def similarity_transform(x, *, rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def similarity_transform(x) -> tuple[np.ndarray, np.ndarray]:
     """Transform s = [[I, -x^dag], [x, I]] and its closed-form inverse.
 
     Valid only for Hermitian involutions, where
@@ -181,9 +181,9 @@ def similarity_transform(x, *, rtol: float = 1e-12) -> tuple[np.ndarray, np.ndar
     x = as_square_complex(x, "x")
     dim = x.shape[0]
     norm = float(np.linalg.norm(x))
-    if float(np.linalg.norm(x - x.conj().T)) > rtol * max(1.0, norm):
+    if float(np.linalg.norm(x - x.conj().T)) > HERMITICITY_RTOL * max(1.0, norm):
         raise SolutionError("x is not Hermitian; closed-form inverse unavailable")
-    if float(np.linalg.norm(x @ x - np.eye(dim))) > rtol * max(1.0, norm**2):
+    if float(np.linalg.norm(x @ x - np.eye(dim))) > HERMITICITY_RTOL * max(1.0, norm**2):
         raise SolutionError("x is not an involution; closed-form inverse unavailable")
     eye = np.eye(dim, dtype=np.complex128)
     s = np.block([[eye, -x.conj().T], [x, eye]])
@@ -209,16 +209,16 @@ def block_diagonalize(
     this reduces to h_plus + alpha*x and h_minus - alpha*x.
     """
     x = _checked_candidate(blocks, x)
-    _require_passed(verify_involution_solution(blocks, x, tol=tol), tol)
+    _require_passed(verify_involution_solution(blocks, x, tol=tol))
     return _decoupled_blocks(blocks, x)
 
 
-def _require_passed(report: VerificationReport, tol: float) -> None:
+def _require_passed(report: VerificationReport) -> None:
     """Raise SolutionError, with the report's defects, unless it passed."""
     if not report.passed:
         raise SolutionError(
             "candidate is not a verified Riccati solution: relative residual "
             f"{report.relative_residual:.3e}, involution defect "
             f"{report.involution_defect:.3e}, intertwining defect "
-            f"{report.intertwining_defect:.3e} (tolerance {tol:.1e})"
+            f"{report.intertwining_defect:.3e} (tolerance {report.tolerance:.1e})"
         )

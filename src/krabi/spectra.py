@@ -6,11 +6,11 @@ diagonalized on its own, and full-matrix diagonalization is kept only as
 the oracle the results are compared against (in the tests and in the
 spectrum deviation reported by the CLI).
 
-sector_spectrum and evolution verify the parity on the band and solve
-each block as k real tridiagonal sector matrices (:mod:`krabi._sectors`).
-Only sweep still solves the dense blocks, one grid point at a time: the
-faster sector route grows the benchmark's speed-sized input pool past
-sweep-small's memory bound, so it waits for a batched sweep.
+Each model's parity is verified exactly, on the band (:mod:`krabi._sectors`).
+sector_spectrum and evolution solve each block as k real tridiagonal sector
+matrices. Only sweep still solves the dense blocks, one grid point at a
+time: the faster sector route grows the benchmark's speed-sized input pool
+past sweep-small's memory bound, so it waits for a batched sweep.
 
 Time evolution uses eigendecomposition rather than ODE stepping, so there
 is no step-size parameter to tune: the state is rotated into the block
@@ -38,12 +38,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._format import WORDS, format_fields
-from ._sectors import SectorSystem, sector_eigensystem, sector_levels
+from ._sectors import SectorSystem, _verified_sectors, sector_eigensystem, sector_levels
 from .errors import ShapeError, _integer
 from .linalg import eig_hermitian
 from .model import ModelParams, build_blocks
-from .parity import generalized_parity
-from .riccati import DEFAULT_TOLERANCE, block_diagonalize
+from .riccati import _decoupled_blocks
 
 _SWEEPABLE = ("g", "alpha", "omega")
 
@@ -125,39 +124,36 @@ class EvolutionSpec:
             raise ValueError(f"steps must be at least 1, got {self.steps}")
 
 
-def _verified_blocks(params: ModelParams, tol: float):
-    x = generalized_parity(params.k, params.dim)
-    return block_diagonalize(build_blocks(params), x, tol=tol)
+def _verified_blocks(params: ModelParams):
+    """The dense decoupled blocks, with the parity verified on the band."""
+    signs, _ = _verified_sectors(params)
+    return _decoupled_blocks(build_blocks(params), np.diag(signs.astype(np.complex128)))
 
 
-def sector_spectrum(
-    params: ModelParams,
-    m: int,
-    *,
-    tol: float = DEFAULT_TOLERANCE,
-) -> tuple[np.ndarray, np.ndarray]:
+def sector_spectrum(params: ModelParams, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest ``m`` eigenvalues of each decoupled block, ascending.
 
     The sorted union over all levels of both blocks reproduces the
     spectrum of the full 2*dim Hamiltonian; with ``m`` < dim the merge of
     the two returned lists still reproduces the bottom of it. The parity is
-    verified on the band and each block is solved as its k real sector
-    tridiagonals (:func:`krabi._sectors.sector_levels`); no dense matrix is
-    built.
+    verified on the band at tolerance 0 and each block is solved as its k
+    real sector tridiagonals (:func:`krabi._sectors.sector_levels`); no dense
+    matrix is built. A parity that fails raises SolutionError.
     """
     m = _integer(m, "m")
     if not 1 <= m <= params.dim:
         raise ShapeError(f"m must satisfy 1 <= m <= dim = {params.dim}, got {m}")
-    top, bottom = sector_levels(params, tol)
+    top, bottom = sector_levels(params)
     return top[:m].copy(), bottom[:m].copy()
 
 
-def sweep(spec: SweepSpec, *, tol: float = DEFAULT_TOLERANCE, jobs: int = 1) -> list:
+def sweep(spec: SweepSpec, *, jobs: int = 1) -> list:
     """Evaluate a sweep; rows are (value, block, level, eigenvalue).
 
     Grid order, then block "+" before "-", then level index: the ordering
     is deterministic regardless of how many worker threads evaluate the
-    independent grid points.
+    independent grid points. The parity is verified on the band at each
+    point, as in :func:`sector_spectrum`; the blocks are then solved dense.
     """
     jobs = _integer(jobs, "jobs")
     if jobs < 1:
@@ -166,7 +162,7 @@ def sweep(spec: SweepSpec, *, tol: float = DEFAULT_TOLERANCE, jobs: int = 1) -> 
 
     def point(value: float) -> list:
         # Dense on purpose: a faster sweep grows the benchmark's input pool past its RSS bound.
-        top, bottom = _verified_blocks(spec.params_at(float(value)), tol)
+        top, bottom = _verified_blocks(spec.params_at(float(value)))
         w_top = eig_hermitian(top)[0][: spec.levels]
         w_bottom = eig_hermitian(bottom)[0][: spec.levels]
         rows = [(float(value), "+", i, float(w)) for i, w in enumerate(w_top)]
@@ -205,15 +201,16 @@ def _ground_state(system: SectorSystem) -> np.ndarray:
     return state / np.sqrt(2.0)
 
 
-def ground_state(params: ModelParams, *, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
+def ground_state(params: ModelParams) -> np.ndarray:
     """Normalized ground state of the full 2*dim Hamiltonian, from the blocks.
 
     The lowest eigenpair of the two decoupled blocks is the ground state:
     an eigenvector u of the top block maps to [u; s*u] / sqrt(2), one of the
-    bottom block to [-s*u; u] / sqrt(2). The blocks are solved sector by
-    sector; ties go to the top block, then to the lowest sector.
+    bottom block to [-s*u; u] / sqrt(2). The parity is verified on the band
+    at tolerance 0 and the blocks are solved sector by sector; ties go to
+    the top block, then to the lowest sector.
     """
-    return _ground_state(sector_eigensystem(params, tol))
+    return _ground_state(sector_eigensystem(params))
 
 
 def _check_length(params: ModelParams, spec: EvolutionSpec) -> None:
@@ -263,22 +260,18 @@ def _propagator(system: SectorSystem, state: np.ndarray, dt: float):
     return states_at
 
 
-def evolve(
-    params: ModelParams,
-    spec: EvolutionSpec,
-    *,
-    tol: float = DEFAULT_TOLERANCE,
-) -> tuple[np.ndarray, np.ndarray]:
+def evolve(params: ModelParams, spec: EvolutionSpec) -> tuple[np.ndarray, np.ndarray]:
     """Propagate a state through the decoupled blocks.
 
     Returns ``(times, states)`` where ``times[j] = j * dt`` and
     ``states[j]`` is the physical-frame state at ``times[j]``; row 0 is
-    the initial state unchanged. The full Hamiltonian is Hermitian and the
-    block conjugation is exact, so the returned states keep unit norm to
-    roundoff even though the block frame rescales norms.
+    the initial state unchanged. The parity is verified on the band at
+    tolerance 0. The full Hamiltonian is Hermitian and the block
+    conjugation is exact, so the returned states keep unit norm to roundoff
+    even though the block frame rescales norms.
     """
     _check_length(params, spec)
-    states_at = _propagator(sector_eigensystem(params, tol), spec.initial_state, spec.dt)
+    states_at = _propagator(sector_eigensystem(params), spec.initial_state, spec.dt)
     times = np.arange(spec.steps + 1, dtype=np.float64) * spec.dt
     states = np.empty((times.size, 2 * params.dim), dtype=np.complex128)
     span = _steps_per(2 * params.dim)[1]
@@ -287,8 +280,7 @@ def evolve(
     return times, states
 
 
-def _evolve_csv(params: ModelParams, tol: float, dt: float, steps: int,
-                initial_state=None) -> Iterator[str]:
+def _evolve_csv(params: ModelParams, dt: float, steps: int, initial_state=None) -> Iterator[str]:
     """``trajectory_chunks(*evolve(...))``, propagating one span at a time.
 
     Starts from ``initial_state`` or, when it is None, from the ground state,
@@ -297,7 +289,7 @@ def _evolve_csv(params: ModelParams, tol: float, dt: float, steps: int,
     if initial_state is not None:
         spec = EvolutionSpec(initial_state=initial_state, dt=dt, steps=steps)
         _check_length(params, spec)
-    system = sector_eigensystem(params, tol)
+    system = sector_eigensystem(params)
     if initial_state is None:
         spec = EvolutionSpec(initial_state=_ground_state(system), dt=dt, steps=steps)
     times = np.arange(steps + 1, dtype=np.float64) * spec.dt

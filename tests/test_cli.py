@@ -16,6 +16,7 @@ from krabi import _sectors, cli, linalg, model, riccati
 from krabi.cli import parse_complex, run
 from krabi.linalg import dump_vector, eig_hermitian, load_matrix
 from krabi.model import ModelParams, build_full
+from krabi.parity import decompose, generalized_parity_signs
 from krabi.riccati import VerificationReport
 from krabi import spectra
 from krabi.spectra import (EvolutionSpec, SweepSpec, evolve, ground_state, sector_spectrum,
@@ -108,12 +109,13 @@ class TestVerify:
             return VerificationReport(
                 residual_norm=0.0, relative_residual=0.0, involution_defect=1.0,
                 intertwining_defect=0.0, is_involution=False, intertwines=True,
-                tolerance=tol)
+                tolerance=tol, params=params)
 
         monkeypatch.setattr(cli, "verify_band", not_an_involution)
         code, out, _ = invoke(capsys, ["verify", *MODEL])
         report = json.loads(out)
         assert report["relative_residual"] == 0.0 and report["is_involution"] is False
+        assert report["params"]["dim"] == 12
         assert code == 1
 
 
@@ -154,6 +156,22 @@ class TestParityTable:
         assert code == 0
         assert out.splitlines()[1:] == ["0,0,1,+1", "1,0,2,+1", "2,1,1,-1",
                                         "3,1,2,-1", "4,2,1,+1", "5,2,2,+1"]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_sign_column_is_the_generalized_parity(self, capsys, k):
+        for dim in (2 * k, 2 * k + 1, 37):
+            code, out, _ = invoke(capsys, ["parity-table", "--k", str(k), "--dim", str(dim)])
+            assert code == 0
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            signs = generalized_parity_signs(k, dim)
+            assert [int(row[3]) for row in rows] == signs.tolist()
+            # The table as the sector decomposition defines it: sign (-1)^n of level n.
+            sd = decompose(k, dim)
+            expected = ["p,n,l,sign"]
+            for p in range(dim):
+                n, l = sd.sector_of(p)
+                expected.append(f"{p},{n},{l},{(-1) ** n:+d}")
+            assert out == "\n".join(expected) + "\n"
 
     def test_warns_when_k_does_not_divide_dim(self, capsys):
         code, _, err = invoke(capsys, ["parity-table", "--k", "2", "--dim", "7"])
@@ -294,7 +312,8 @@ class TestEvolve:
                             lambda *args: calls.append(args) or decompose(*args))
         code, out, _ = invoke(capsys, argv)
         assert code == 0 and len(calls) == 1
-        assert out == expected
+        # Bytes, not str, here and below: pytest's diff of two long texts takes minutes.
+        assert out.encode() == expected.encode()
 
     @pytest.mark.parametrize("state", ["ground", "file"])
     def test_never_touches_the_dense_blocks(self, capsys, monkeypatch, tmp_path, state):
@@ -304,7 +323,7 @@ class TestEvolve:
             vector = np.random.default_rng(31).normal(size=62) + 0j
             dump_vector(vector / np.linalg.norm(vector), tmp_path / "state.txt")
             argv += ["--state", str(tmp_path / "state.txt")]
-        expected = invoke(capsys, argv)
+        code, out, err = invoke(capsys, argv)
 
         def dense(*_args, **_kwargs):
             raise AssertionError("dense path called during krabi evolve")
@@ -313,8 +332,10 @@ class TestEvolve:
             for name in ("build_blocks", "block_diagonalize", "eig_hermitian"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, dense)
-        assert invoke(capsys, argv) == expected
-        assert expected[0] == 0
+        again, printed, warned = invoke(capsys, argv)
+        assert (again, warned) == (code, err)
+        assert printed.encode() == out.encode()
+        assert code == 0
 
     @pytest.mark.parametrize("k,dim", [(1, 128), (2, 128), (3, 99), (4, 128)])
     def test_large_ground_state_is_lowest_eigenvector(self, capsys, k, dim):
@@ -361,7 +382,8 @@ class TestNegativeLiterals:
     @pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity"])
     @pytest.mark.parametrize("flag", ["--tol", "--alpha", "--omega", "--g"])
     def test_non_finite_after_a_space_reads_as_a_value(self, capsys, flag, value):
-        command = ["spectrum", *MODEL, "--levels", "2"]
+        # Only verify takes --tol.
+        command = ["verify", *MODEL] if flag == "--tol" else ["spectrum", *MODEL, "--levels", "2"]
         spaced = invoke(capsys, [*command, flag, value])
         joined = invoke(capsys, [*command, f"{flag}={value}"])
         assert spaced == joined
@@ -434,8 +456,26 @@ class TestTolerance:
         flag = ["--tol", value] if spelling == "space" else [f"--tol={value}"]
         code, out, err = invoke(capsys, self.COMMANDS[command] + flag)
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "--tol" in err
+        # verify rejects the value; the commands that verify at tolerance 0 reject the flag.
+        reason = ("argument --tol: expected a finite tolerance" if command == "verify"
+                  else "unrecognized arguments: --tol")
+        assert err.startswith(f"error: {reason}")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["spectrum", "sweep", "evolve"])
+    def test_only_verify_takes_a_tolerance(self, capsys, command):
+        code, out, err = invoke(capsys, self.COMMANDS[command] + ["--tol", "1e-10"])
+        assert (code, out) == (2, "")
+        assert err == "error: unrecognized arguments: --tol 1e-10\n"
+
+    def test_only_verify_lists_the_tolerance_flag(self, capsys):
+        listed = set()
+        for command in ("verify", "parity-table", "spectrum", "sweep", "evolve"):
+            code, out, _ = invoke(capsys, [command, "--help"])
+            assert code == 0
+            if "--tol" in out:
+                listed.add(command)
+        assert listed == {"verify"}
 
     @pytest.mark.parametrize("tol", ["0", "1e-10", "0.5", "1e300"])
     @pytest.mark.parametrize("candidate", ["xk", "p", "t"])

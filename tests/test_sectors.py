@@ -10,12 +10,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from krabi import _sectors, spectra
+from krabi import _sectors
 from krabi.errors import SolutionError
 from krabi.fock import annihilation, power_k
 from krabi.model import ModelParams, build_blocks
 from krabi.linalg import eig_hermitian
-from krabi.parity import bosonic_parity_signs, generalized_parity_signs, two_photon_parity_signs
+from krabi.parity import (bosonic_parity_signs, generalized_parity, generalized_parity_signs,
+                          two_photon_parity_signs)
 from krabi.riccati import block_diagonalize, verify_involution_solution
 
 
@@ -42,6 +43,11 @@ CANDIDATES = [
     ("flipped-k1", 1, 20, flipped(1, 20)),
     ("flipped-k4", 4, 64, flipped(4, 64)),
 ]
+
+
+def dense_blocks(params):
+    """The oracle: the decoupled blocks of the dense route."""
+    return block_diagonalize(build_blocks(params), generalized_parity(params.k, params.dim))
 
 
 def dense_report(params, signs, tol):
@@ -98,6 +104,12 @@ class TestVerifyBand:
         assert (band.is_involution, band.intertwines) == (dense.is_involution, dense.intertwines)
         assert_same_defects(band, dense, params)
 
+    def test_report_carries_the_params(self):
+        params = seeded_params(3, 2, 12)
+        report = _sectors.verify_band(params, generalized_parity_signs(2, 12), 0.0)
+        assert report.params is params and report.passed
+        assert report.to_dict()["params"]["g_im"] == params.g.imag
+
     def test_zero_coupling_passes_any_sign_vector(self):
         params = ModelParams(alpha=0.5, omega=1.0, g=0.0, k=2, dim=12)
         band = _sectors.verify_band(params, bosonic_parity_signs(12), 1e-10)
@@ -118,10 +130,10 @@ class TestVerifyBand:
     def test_failing_candidate_raises_the_dense_error(self, monkeypatch, name, k, dim, signs):
         params = seeded_params(dim, k, dim)
         with pytest.raises(SolutionError) as dense:
-            block_diagonalize(build_blocks(params), np.diag(signs.astype(complex)))
+            block_diagonalize(build_blocks(params), np.diag(signs.astype(complex)), tol=0.0)
         monkeypatch.setattr(_sectors, "generalized_parity_signs", lambda *_: signs)
         with pytest.raises(SolutionError) as core:
-            _sectors.sector_eigensystem(params, 1e-10)
+            _sectors.sector_eigensystem(params)
         assert str(core.value) == str(dense.value)
 
     @pytest.mark.parametrize("bad", [2.0, 1j, -1.0 + 1e-15, 0.0])
@@ -149,8 +161,8 @@ class TestSectorEigensystem:
             params = dataclasses.replace(params, g=0.0)
         elif variant == "alpha<0":
             params = dataclasses.replace(params, alpha=-params.alpha)
-        system = _sectors.sector_eigensystem(params, 1e-10)
-        for sectors, dense in zip(system.sectors, spectra._verified_blocks(params, 1e-10)):
+        system = _sectors.sector_eigensystem(params)
+        for sectors, dense in zip(system.sectors, dense_blocks(params)):
             w_dense = eig_hermitian(dense)[0]
             scale = np.max(np.abs(w_dense))
             assert np.max(np.abs(sorted_levels(sectors) - w_dense)) <= 1e-12 * scale
@@ -159,8 +171,8 @@ class TestSectorEigensystem:
     @pytest.mark.parametrize("k,dim,seed", [(1, 24, 8), (2, 33, 9), (3, 48, 10), (4, 64, 11)])
     def test_gauged_sector_vectors_are_block_eigenvectors(self, k, dim, seed):
         params = seeded_params(seed, k, dim)
-        system = _sectors.sector_eigensystem(params, 1e-10)
-        for sectors, dense in zip(system.sectors, spectra._verified_blocks(params, 1e-10)):
+        system = _sectors.sector_eigensystem(params)
+        for sectors, dense in zip(system.sectors, dense_blocks(params)):
             scale = np.linalg.norm(dense, 2)
             for l, (w, u) in enumerate(sectors):
                 vectors = np.zeros((dim, w.size), dtype=complex)
@@ -170,5 +182,5 @@ class TestSectorEigensystem:
                 assert np.max(np.abs(dense @ vectors - vectors * w)) <= 1e-13 * scale
 
     def test_signs_are_the_generalized_parity(self):
-        system = _sectors.sector_eigensystem(seeded_params(0, 3, 20), 1e-10)
+        system = _sectors.sector_eigensystem(seeded_params(0, 3, 20))
         assert np.array_equal(system.signs, generalized_parity_signs(3, 20))

@@ -56,17 +56,28 @@ def random_state(seed, dim):
     return state / np.linalg.norm(state)
 
 
+def forbid(monkeypatch, names, caller):
+    """Make each named function raise in every krabi module that binds it."""
+    def dense(*_args, **_kwargs):
+        raise AssertionError(f"dense path called by {caller}")
+
+    for module in (krabi, model, parity, riccati, linalg, spectra, cli, _sectors):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, dense)
+
+
 def three_spans(dim):
     """A step count whose grid takes three spans of evolve's propagation."""
     span = spectra._steps_per(2 * dim)[1]
     return 2 * span + span // 2
 
 
-def whole_grid_states(params, state, dt, steps, tol=1e-9):
+def whole_grid_states(params, state, dt, steps):
     """Reference: the sector propagation of evolve over the whole grid in one
     product per sector, written with fresh temporaries."""
     k, dim = params.k, params.dim
-    signs, phase, sectors = _sectors.sector_eigensystem(params, tol)
+    signs, phase, sectors = _sectors.sector_eigensystem(params)
     upper, lower = state[:dim], state[dim:]
     times = np.arange(steps + 1, dtype=np.float64) * dt
     blocks = []
@@ -135,7 +146,8 @@ class TestSectorSpectrum:
         levels = sector_spectrum(params, dim)
         full = eig_hermitian(build_full(params))[0]
         scale = np.max(np.abs(full))
-        for got, block in zip(levels, spectra._verified_blocks(params, 1e-10)):
+        oracle = block_diagonalize(build_blocks(params), parity.generalized_parity(k, dim))
+        for got, block in zip(levels, oracle):
             assert np.max(np.abs(got - eig_hermitian(block)[0])) <= 1e-12 * scale
         assert np.max(np.abs(np.sort(np.concatenate(levels)) - full)) <= 1e-12 * scale
         assert [w.tolist() for w in sector_spectrum(params, 1)] == [[w[0]] for w in levels]
@@ -143,15 +155,8 @@ class TestSectorSpectrum:
     def test_never_touches_the_dense_blocks(self, monkeypatch):
         params = seeded_params(12, 3, 31)
         expected = sector_spectrum(params, 7)
-
-        def dense(*_args, **_kwargs):
-            raise AssertionError("dense path called by sector_spectrum")
-
-        for module in (krabi, model, parity, riccati, linalg, spectra, cli, _sectors):
-            for name in ("build_blocks", "block_diagonalize", "eig_hermitian",
-                         "generalized_parity"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, dense)
+        forbid(monkeypatch, ("build_blocks", "block_diagonalize", "eig_hermitian",
+                             "generalized_parity"), "sector_spectrum")
         for got, want in zip(sector_spectrum(params, 7), expected):
             assert np.array_equal(got, want)
 
@@ -160,7 +165,7 @@ class TestSectorSpectrum:
         signs = generalized_parity_signs(2, 24)
         signs[11] *= -1
         with pytest.raises(SolutionError) as dense:
-            block_diagonalize(build_blocks(params), np.diag(signs.astype(complex)))
+            block_diagonalize(build_blocks(params), np.diag(signs.astype(complex)), tol=0.0)
         monkeypatch.setattr(_sectors, "generalized_parity_signs", lambda *_: signs)
         with pytest.raises(SolutionError) as core:
             sector_spectrum(params, 3)
@@ -177,7 +182,7 @@ class TestSectorSpectrum:
         with pytest.raises(SolutionError, match="real") as core:
             sector_spectrum(params, 3)
         with pytest.raises(SolutionError) as evolve_path:
-            _sectors.sector_eigensystem(params, 1e-10)
+            _sectors.sector_eigensystem(params)
         assert str(core.value) == str(evolve_path.value)
 
     @pytest.mark.parametrize("m", [1, 5, 40])
@@ -232,6 +237,17 @@ class TestSweep:
         threaded = sweep_csv(sweep(spec, jobs=3))
         assert first == second == threaded
         assert first.splitlines()[0] == "param,block,level,eigenvalue"
+
+    @pytest.mark.parametrize("param,lo,hi", [("g", 0.0, 0.4), ("alpha", -0.5, 0.8),
+                                             ("omega", 0.5, 1.5)])
+    def test_verifies_on_the_band_not_through_the_dense_verifier(self, monkeypatch,
+                                                                 param, lo, hi):
+        spec = SweepSpec(base=seeded_params(16, 3, 25), param=param, lo=lo, hi=hi, steps=5,
+                         levels=3)
+        expected = sweep_csv(sweep(spec)).encode()
+        forbid(monkeypatch, ("verify_involution_solution", "block_diagonalize",
+                             "generalized_parity"), "sweep")
+        assert sweep_csv(sweep(spec)).encode() == expected
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -288,7 +304,7 @@ class TestEvolve:
         params = seeded_params(k, k, dim)
         state = random_state(dim, dim)
         spec = EvolutionSpec(initial_state=state, dt=0.07, steps=30)
-        got_times, got = evolve(params, spec, tol=1e-9)
+        got_times, got = evolve(params, spec)
         assert np.array_equal(got_times, np.arange(31, dtype=np.float64) * 0.07)
         expected = whole_grid_states(params, state, 0.07, 30)
         assert np.array_equal(got.view(np.float64), expected.view(np.float64))
@@ -358,7 +374,7 @@ class TestStreamedEvolve:
         params = seeded_params(k + 10, k, dim)
         steps = three_spans(dim)
         initial = ground_state(params) if state == "ground" else random_state(k, dim)
-        streamed = "".join(spectra._evolve_csv(params, 1e-10, 0.05, steps,
+        streamed = "".join(spectra._evolve_csv(params, 0.05, steps,
                                                None if state == "ground" else initial))
         spec = EvolutionSpec(initial_state=initial, dt=0.05, steps=steps)
         # Bytes, not str: pytest's diff of two long texts takes minutes.
@@ -370,7 +386,7 @@ class TestStreamedEvolve:
         def peak(steps):
             tracemalloc.start()
             try:
-                for _ in spectra._evolve_csv(params, 1e-10, 0.01, steps):
+                for _ in spectra._evolve_csv(params, 0.01, steps):
                     pass
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -411,6 +427,29 @@ class TestGroundState:
         assert psi[0] * np.conj(psi[dim]) == pytest.approx(0.5, abs=1e-15)
 
 
+class TestBandVerification:
+    def test_every_solve_raises_the_same_zero_tolerance_error(self, monkeypatch):
+        params = seeded_params(17, 2, 24)
+        signs = generalized_parity_signs(2, 24)
+        signs[11] *= -1
+        monkeypatch.setattr(_sectors, "generalized_parity_signs", lambda *_: signs)
+        # lo = hi = alpha: the sweep's grid points are the model itself.
+        spec = SweepSpec(base=params, param="alpha", lo=params.alpha, hi=params.alpha,
+                         steps=2, levels=2)
+        evolution = EvolutionSpec(initial_state=random_state(17, 24), dt=0.1, steps=2)
+        solves = {"sweep": lambda: sweep(spec),
+                  "sector_spectrum": lambda: sector_spectrum(params, 3),
+                  "ground_state": lambda: ground_state(params),
+                  "evolve": lambda: evolve(params, evolution)}
+        texts = {}
+        for name, solve in solves.items():
+            with pytest.raises(SolutionError) as error:
+                solve()
+            texts[name] = str(error.value)
+        assert len(set(texts.values())) == 1, texts
+        assert texts["sweep"].endswith("(tolerance 0.0e+00)")
+
+
 class TestTrajectoryCsv:
     TIMES = np.array([0.0, 0.125, 1e300])
     EXTREME = np.array([
@@ -420,8 +459,9 @@ class TestTrajectoryCsv:
     ], dtype=np.complex128)
 
     def test_extreme_values_byte_identical(self):
-        assert trajectory_csv(self.TIMES, self.EXTREME) == \
-            per_line_trajectory_csv(self.TIMES, self.EXTREME)
+        # Bytes, not str, here and below: pytest's diff of two long texts takes minutes.
+        assert trajectory_csv(self.TIMES, self.EXTREME).encode() == \
+            per_line_trajectory_csv(self.TIMES, self.EXTREME).encode()
         assert "-0.0000000000000000e+00" in trajectory_csv(self.TIMES, self.EXTREME)
 
     @pytest.mark.parametrize("layout", ["strided", "fortran", "complex64", "float64"])
@@ -433,13 +473,15 @@ class TestTrajectoryCsv:
             "complex64": (self.EXTREME.real.clip(-1e30, 1e30) / 7).astype(np.complex64),
             "float64": self.EXTREME.real,
         }[layout]
-        assert trajectory_csv(self.TIMES, states) == per_line_trajectory_csv(self.TIMES, states)
+        assert trajectory_csv(self.TIMES, states).encode() == \
+            per_line_trajectory_csv(self.TIMES, states).encode()
 
     def test_evolved_trajectory_byte_identical(self):
         params = seeded_params(3, 2, 12)
         spec = EvolutionSpec(initial_state=ground_state(params), dt=0.1, steps=7)
         times, states = evolve(params, spec)
-        assert trajectory_csv(times, states) == per_line_trajectory_csv(times, states)
+        assert trajectory_csv(times, states).encode() == \
+            per_line_trajectory_csv(times, states).encode()
 
     @pytest.mark.parametrize("steps,comps", [(3, 4), (50, 100), (400, 100), (4, 3000)])
     def test_chunks_are_header_then_whole_time_steps(self, steps, comps):
@@ -456,8 +498,9 @@ class TestTrajectoryCsv:
                 whole = rows[step : step + comps]
                 assert [int(row[1]) for row in whole] == list(range(comps))
                 assert len({row[0] for row in whole}) == 1
-        assert "".join(chunks) == trajectory_csv(times, states)
-        assert "".join(chunks) == per_line_trajectory_csv(times, states)
+        joined = "".join(chunks).encode()
+        assert joined == trajectory_csv(times, states).encode()
+        assert joined == per_line_trajectory_csv(times, states).encode()
         # As many whole steps per chunk as fit in its value budget, at least one.
         per_chunk = max(1, spectra._CHUNK_VALUES // (2 * comps))
         assert len(chunks) - 1 == -(-steps // per_chunk)
