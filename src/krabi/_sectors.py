@@ -37,9 +37,21 @@ from .riccati import VerificationReport, _require_passed
 
 
 def band(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal omega*p (p < dim) and coupling amplitudes amp_p (p < dim - k)."""
-    diagonal = params.omega * np.arange(params.dim, dtype=np.float64)
-    return diagonal, _lowering_band(params.k, params.dim)
+    """Diagonal omega*p (p < dim) and coupling amplitudes amp_p (p < dim - k).
+
+    Raises ValueError when a band entry, omega*p or |g|*amp_p, overflows
+    float64.
+    """
+    amplitudes = _lowering_band(params.k, params.dim)
+    # Both grow with p, so the last entries are the largest.
+    largest = (params.omega * (params.dim - 1),
+               math.hypot(params.g.real, params.g.imag) * float(amplitudes[-1]))
+    if not all(map(math.isfinite, largest)):
+        raise ValueError(
+            f"the band overflows float64: omega*(dim - 1) = {largest[0]:.3e}, "
+            f"|g|*amp_(dim-k-1) = {largest[1]:.3e}"
+        )
+    return params.omega * np.arange(params.dim, dtype=np.float64), amplitudes
 
 
 def real_signs(signs) -> np.ndarray:
@@ -62,17 +74,25 @@ def verify_band(params: ModelParams, signs: np.ndarray, tol: float) -> Verificat
     is alpha*(s_p^2 - 1) on the diagonal and the intertwining defect
     conj(g)*amp_p*(s_p + s_(p+k)) at (p, p+k), with its conjugate at (p+k, p).
     h_plus and h_minus share the norm sqrt(||omega*p||^2 + 2*||g*amp||^2).
+    omega and |g| multiply norms taken without them, so no sum of squares
+    overflows. Raises ValueError, as :func:`band` does, when the scale
+    2*||h_pm|| + 2*|alpha|*sqrt(dim) overflows float64: past it the levels
+    themselves may.
     """
-    diagonal, amplitudes = band(params)
-    k = params.k
-    coupling = abs(params.g) * amplitudes
+    _, amplitudes = band(params)
+    k, dim, abs_g = params.k, params.dim, abs(params.g)
+    # ||(0, 1, ..., dim - 1)|| in closed form.
+    diagonal_norm = params.omega * math.sqrt((dim - 1) * dim * (2 * dim - 1) / 6)
+    coupling_norm = abs_g * float(np.linalg.norm(amplitudes))
+    block_norm = math.hypot(diagonal_norm, math.sqrt(2.0) * coupling_norm)
+    scale = 2.0 * block_norm + 2.0 * abs(params.alpha) * math.sqrt(dim)
+    if not math.isfinite(scale):
+        raise ValueError("the band overflows float64: 2*||h_pm|| + 2*|alpha|*sqrt(dim) "
+                         f"= {scale:.3e}")
     involution_defect = float(np.linalg.norm(signs * signs - 1.0))
-    intertwining_defect = math.sqrt(2.0) * float(
-        np.linalg.norm(coupling * (signs[:-k] + signs[k:])))
+    intertwining_defect = math.sqrt(2.0) * abs_g * float(
+        np.linalg.norm(amplitudes * (signs[:-k] + signs[k:])))
     residual_norm = math.hypot(abs(params.alpha) * involution_defect, intertwining_defect)
-    block_norm = math.hypot(float(np.linalg.norm(diagonal)),
-                            math.sqrt(2.0) * float(np.linalg.norm(coupling)))
-    scale = 2.0 * block_norm + 2.0 * abs(params.alpha) * math.sqrt(params.dim)
     x_norm = float(np.linalg.norm(signs))
     return VerificationReport(
         residual_norm=residual_norm,

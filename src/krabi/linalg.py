@@ -8,10 +8,15 @@ arithmetic directly.
 
 The eigensolver targets desk-scale problems (dimension up to about 1024)
 and is deterministic: identical input bytes produce identical output bytes
-on a given platform.
+on a given platform. Callers that read only eigenvalues pass
+``vectors=False``, which skips building the eigenvector matrix. Norms go
+through :func:`_norm`, which stays finite where the sum of squares of
+finite entries overflows but the norm does not.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,33 +42,56 @@ def as_square_complex(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _norm(a) -> float:
+    """Frobenius norm of ``a``, also where the plain sum of squares overflows.
+
+    Only an infinite plain norm of finite entries is recomputed, on ``a``
+    divided by its largest modulus; the result is infinite only when the
+    norm itself exceeds the float64 range.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+        if norm == math.inf:
+            peak = float(np.max(np.abs(a)))
+            if math.isfinite(peak):
+                norm = peak * float(np.linalg.norm(a / peak))
+    return norm
+
+
 def hermiticity_defect(a) -> float:
     """Frobenius norm of ``a - a^dag``."""
     a = as_square_complex(a, "a")
-    return float(np.linalg.norm(a - a.conj().T))
+    return _norm(a - a.conj().T)
 
 
-def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+def eig_hermitian(a, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues, and by default eigenvectors, of a Hermitian matrix.
 
     Checks Hermiticity to ``HERMITICITY_RTOL * ||a||_F``, symmetrizes to
     ``(a + a^dag)/2`` to absorb assembly roundoff, and diagonalizes. Returns
     ``(w, v)``: real eigenvalues ``w`` ascending and eigenvectors as the
     columns of the unitary ``v``, so that ``a @ v[:, i] = w[i] * v[:, i]``.
+    With ``vectors=False`` only the eigenvalues are computed
+    (``np.linalg.eigvalsh``) and ``v`` is None; the checks are the same.
 
     Raises HermiticityError for non-Hermitian input and EigenSolverError if
     the iteration fails to converge (which indicates a bug, not bad input).
     """
     a = as_square_complex(a, "a")
-    bound = HERMITICITY_RTOL * float(np.linalg.norm(a))
-    defect = hermiticity_defect(a)
-    if defect > bound:
-        raise HermiticityError(
-            f"matrix is not Hermitian: defect {defect:.3e} "
-            f"exceeds {HERMITICITY_RTOL:.1e} * ||a|| = {bound:.3e}"
-        )
-    h = (a + a.conj().T) / 2.0
+    adjoint = a.conj().T
+    defect = _norm(a - adjoint)
+    # An exactly Hermitian matrix, as every assembled one here is, needs no bound.
+    if defect > 0:
+        bound = HERMITICITY_RTOL * _norm(a)
+        if defect > bound:
+            raise HermiticityError(
+                f"matrix is not Hermitian: defect {defect:.3e} "
+                f"exceeds {HERMITICITY_RTOL:.1e} * ||a|| = {bound:.3e}"
+            )
+    h = (a + adjoint) / 2.0
     try:
+        if not vectors:
+            return np.linalg.eigvalsh(h), None
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"Hermitian eigensolver failed to converge: {exc}") from exc

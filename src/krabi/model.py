@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import HermiticityError, ShapeError, _k_dim
 from .fock import annihilation, number, power_k
-from .linalg import HERMITICITY_RTOL, as_square_complex, hermiticity_defect
+from .linalg import HERMITICITY_RTOL, _norm, as_square_complex, hermiticity_defect
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class BlockOperator:
             )
         for name, block in (("h_plus", hp), ("h_minus", hm)):
             defect = hermiticity_defect(block)
-            if defect > HERMITICITY_RTOL * float(np.linalg.norm(block)):
+            if defect > 0 and defect > HERMITICITY_RTOL * _norm(block):
                 raise HermiticityError(f"{name} is not Hermitian: defect {defect:.3e}")
         object.__setattr__(self, "h_plus", hp)
         object.__setattr__(self, "h_minus", hm)

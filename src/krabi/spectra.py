@@ -9,8 +9,9 @@ spectrum deviation reported by the CLI).
 Each model's parity is verified exactly, on the band (:mod:`krabi._sectors`).
 sector_spectrum and evolution solve each block as k real tridiagonal sector
 matrices. Only sweep still solves the dense blocks, one grid point at a
-time: the faster sector route grows the benchmark's speed-sized input pool
-past sweep-small's memory bound, so it waits for a batched sweep.
+time, for their eigenvalues alone: the faster sector route grows the
+benchmark's speed-sized input pool past sweep-small's memory bound, so it
+waits for a batched sweep.
 
 Time evolution uses eigendecomposition rather than ODE stepping, so there
 is no step-size parameter to tune: the state is rotated into the block
@@ -32,6 +33,7 @@ physical-frame states stay normalized to roundoff.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -153,7 +155,8 @@ def sweep(spec: SweepSpec, *, jobs: int = 1) -> list:
     Grid order, then block "+" before "-", then level index: the ordering
     is deterministic regardless of how many worker threads evaluate the
     independent grid points. The parity is verified on the band at each
-    point, as in :func:`sector_spectrum`; the blocks are then solved dense.
+    point, as in :func:`sector_spectrum`; the blocks are then solved dense,
+    for eigenvalues only.
     """
     jobs = _integer(jobs, "jobs")
     if jobs < 1:
@@ -163,8 +166,8 @@ def sweep(spec: SweepSpec, *, jobs: int = 1) -> list:
     def point(value: float) -> list:
         # Dense on purpose: a faster sweep grows the benchmark's input pool past its RSS bound.
         top, bottom = _verified_blocks(spec.params_at(float(value)))
-        w_top = eig_hermitian(top)[0][: spec.levels]
-        w_bottom = eig_hermitian(bottom)[0][: spec.levels]
+        w_top = eig_hermitian(top, vectors=False)[0][: spec.levels]
+        w_bottom = eig_hermitian(bottom, vectors=False)[0][: spec.levels]
         rows = [(float(value), "+", i, float(w)) for i, w in enumerate(w_top)]
         rows += [(float(value), "-", i, float(w)) for i, w in enumerate(w_bottom)]
         return rows
@@ -219,14 +222,20 @@ def _check_length(params: ModelParams, spec: EvolutionSpec) -> None:
         raise ShapeError(f"initial state has length {size}, expected 2*dim = {2 * params.dim}")
 
 
-def _propagator(system: SectorSystem, state: np.ndarray, dt: float):
+def _propagator(system: SectorSystem, state: np.ndarray, dt: float, steps: int):
     """``states_at(start, stop)``: physical-frame states at times j*dt, start <= j < stop.
 
     Each sector keeps its eigenpairs (w, u) and the coefficients
     c = u.T @ (conj(D) * b)[l::k] of the block-frame state b; a block's
     trajectory is D * (u @ (c * exp(-i w t))). Row 0 is ``state`` exactly.
+    Raises ValueError, before any state is built, unless every phase w*t up
+    to t = steps*dt is finite.
     """
     signs, phase, sectors = system
+    largest = max(max(abs(w[0]), abs(w[-1])) for block in sectors for w, _ in block)
+    if not math.isfinite(float(largest) * (steps * dt)):
+        raise ValueError(f"the phase w*t overflows float64: |w| reaches {largest:.3e} "
+                         f"and t reaches {steps * dt:.3e}")
     dim, k = signs.size, len(sectors[0])
     upper, lower = state[:dim], state[dim:]
     frames = ((upper + signs * lower) / 2, (lower - signs * upper) / 2)
@@ -271,7 +280,7 @@ def evolve(params: ModelParams, spec: EvolutionSpec) -> tuple[np.ndarray, np.nda
     even though the block frame rescales norms.
     """
     _check_length(params, spec)
-    states_at = _propagator(sector_eigensystem(params), spec.initial_state, spec.dt)
+    states_at = _propagator(sector_eigensystem(params), spec.initial_state, spec.dt, spec.steps)
     times = np.arange(spec.steps + 1, dtype=np.float64) * spec.dt
     states = np.empty((times.size, 2 * params.dim), dtype=np.complex128)
     span = _steps_per(2 * params.dim)[1]
@@ -293,7 +302,8 @@ def _evolve_csv(params: ModelParams, dt: float, steps: int, initial_state=None) 
     if initial_state is None:
         spec = EvolutionSpec(initial_state=_ground_state(system), dt=dt, steps=steps)
     times = np.arange(steps + 1, dtype=np.float64) * spec.dt
-    return _csv_chunks(times, _propagator(system, spec.initial_state, spec.dt), 2 * params.dim)
+    states_at = _propagator(system, spec.initial_state, spec.dt, steps)
+    return _csv_chunks(times, states_at, 2 * params.dim)
 
 
 _TRAJECTORY_HEADER = "t,component_index,re,im\n"

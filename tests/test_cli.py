@@ -203,7 +203,8 @@ class TestSpectrumAndSweep:
         params = ModelParams(alpha=1.0, omega=1.0, g=0.5, k=2, dim=12)
         w_top, w_bottom = sector_spectrum(params, levels)
         merged = np.sort(np.concatenate(sector_spectrum(params, params.dim)))
-        deviation = float(np.max(np.abs(merged - eig_hermitian(build_full(params))[0])))
+        full = eig_hermitian(build_full(params), vectors=False)[0]
+        deviation = float(np.max(np.abs(merged - full)))
         expected = [f"# max_full_spectrum_deviation = {deviation:.16e}",
                     "block,level,eigenvalue"]
         expected += [f"+,{i},{w:.16e}" for i, w in enumerate(w_top)]
@@ -394,6 +395,127 @@ class TestNegativeLiterals:
                                        "--omega", "1", "--g", "0.5"])
         assert code == 2
         assert err.startswith("error:")
+
+
+# (k, dim, alpha, g): k = 1...4, with k not dividing dim, g = 0 and alpha < 0 among them.
+VALUES_ONLY_MODELS = [
+    (1, 16, 0.7, 0.3 + 0.1j),
+    (2, 13, -0.4, 0.2 - 0.1j),
+    (3, 20, 0.5, 0.0),
+    (3, 24, -1.1, 0.04 + 0.03j),
+    (4, 30, -0.8, 0.02 - 0.01j),
+    (4, 32, 0.6, 0.0),
+]
+
+
+def model_argv(k, dim, alpha, g):
+    return ["--k", str(k), "--dim", str(dim), f"--alpha={alpha!r}", "--omega=1.1",
+            f"--g={g.real!r}{g.imag:+.17g}i"]
+
+
+def no_eigh(monkeypatch):
+    """Make np.linalg.eigh raise: the paths that keep only eigenvalues never need it."""
+    def eigh(*_args, **_kwargs):
+        raise AssertionError("np.linalg.eigh called where only eigenvalues are read")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+
+class TestValuesOnly:
+    """sweep, spectrum and verify --spectra solve for eigenvalues alone, and agree
+    with the full eigendecomposition to 1e-12 of the largest |level|."""
+
+    @pytest.mark.parametrize("k,dim,alpha,g", VALUES_ONLY_MODELS)
+    def test_sweep(self, capsys, monkeypatch, k, dim, alpha, g):
+        argv = ["sweep", *model_argv(k, dim, alpha, g), "--param", "g", "--lo", "0",
+                "--hi", "0.3", "--steps", "3", "--levels", str(dim)]
+        no_eigh(monkeypatch)
+        code, out, _ = invoke(capsys, argv)
+        monkeypatch.undo()
+        assert code == 0
+        params = ModelParams(alpha=alpha, omega=1.1, g=g, k=k, dim=dim)
+        spec = SweepSpec(base=params, param="g", lo=0.0, hi=0.3, steps=3, levels=dim)
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        for value in np.linspace(0.0, 0.3, 3):
+            blocks = spectra._verified_blocks(spec.params_at(float(value)))
+            for sign, block in zip("+-", blocks):
+                got = [float(w) for v, b, _, w in rows if float(v) == value and b == sign]
+                want = eig_hermitian(block)[0]
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k,dim,alpha,g", VALUES_ONLY_MODELS)
+    def test_spectrum(self, capsys, monkeypatch, k, dim, alpha, g):
+        no_eigh(monkeypatch)
+        code, out, _ = invoke(capsys, ["spectrum", *model_argv(k, dim, alpha, g),
+                                       "--levels", "2"])
+        monkeypatch.undo()
+        assert code == 0
+        params = ModelParams(alpha=alpha, omega=1.1, g=g, k=k, dim=dim)
+        full = eig_hermitian(build_full(params))[0]
+        merged = np.sort(np.concatenate(sector_spectrum(params, dim)))
+        deviation = float(out.splitlines()[0].split("=")[1])
+        want = float(np.max(np.abs(merged - full)))
+        assert abs(deviation - want) <= 1e-12 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("k,dim,alpha,g", VALUES_ONLY_MODELS)
+    def test_verify_spectra(self, capsys, monkeypatch, k, dim, alpha, g):
+        no_eigh(monkeypatch)
+        code, out, _ = invoke(capsys, ["verify", *model_argv(k, dim, alpha, g), "--spectra"])
+        monkeypatch.undo()
+        assert code == 0
+        params = ModelParams(alpha=alpha, omega=1.1, g=g, k=k, dim=dim)
+        top, bottom = spectra._verified_blocks(params)
+        merged = np.sort(np.concatenate([eig_hermitian(top)[0], eig_hermitian(bottom)[0]]))
+        full = eig_hermitian(build_full(params))[0]
+        want = float(np.max(np.abs(merged - full)))
+        got = json.loads(out)["spectra_match"]
+        assert abs(got - want) <= 1e-12 * np.max(np.abs(full))
+
+
+class TestOverflow:
+    HUGE = ["--k", "1", "--dim", "4", "--alpha", "1"]
+
+    @pytest.mark.parametrize("scale", ["1e150", "1e200"])
+    def test_squares_past_the_float64_range_still_verify(self, capsys, scale):
+        # The band's sum of squares overflows at 1e200; its norm and the levels do not.
+        code, out, err = invoke(capsys, ["spectrum", *self.HUGE, "--omega", scale,
+                                         "--g", scale, "--levels", "2"])
+        assert (code, err) == (0, "")
+        params = ModelParams(alpha=1.0, omega=float(scale), g=float(scale), k=1, dim=4)
+        lines = out.splitlines()
+        expected = [f"{b},{i},{w:.16e}" for b, levels in zip("+-", sector_spectrum(params, 2))
+                    for i, w in enumerate(levels)]
+        assert lines[2:] == expected
+        assert float(lines[0].split("=")[1]) <= 1e-12 * float(scale)
+        code, out, err = invoke(capsys, ["verify", *self.HUGE, "--omega", scale, "--g", scale,
+                                         "--tol", "0", "--spectra"])
+        report = json.loads(out)
+        assert (code, err, report["passed"]) == (0, "", True)
+        assert report["spectra_match"] <= 1e-12 * float(scale)
+
+    @pytest.mark.parametrize("command", [["spectrum", "--levels", "2"], ["verify"],
+                                         ["sweep", "--levels", "2", "--param", "alpha",
+                                          "--lo", "0", "--hi", "1", "--steps", "2"],
+                                         ["evolve", "--t-max", "1", "--steps", "1"]])
+    @pytest.mark.parametrize("omega,reason", [
+        ("1e308", "omega*(dim - 1) = inf"),  # a band entry overflows
+        ("5e307", "2*||h_pm|| + 2*|alpha|*sqrt(dim) = inf"),  # only the norm does
+    ])
+    def test_band_past_the_float64_range(self, capsys, command, omega, reason):
+        argv = [command[0], *self.HUGE, "--omega", omega, "--g", "1", *command[1:]]
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: the band overflows float64: {reason}")
+        assert err.count("\n") == 1
+
+    def test_evolve_phase_past_the_float64_range(self, capsys, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        argv = ["evolve", *self.HUGE, "--omega", "1", "--g", "0.1", "--t-max", "1e308",
+                "--steps", "1"]
+        code, out, err = invoke(capsys, [*argv, "--out", str(path)])
+        assert (code, out) == (2, "") and not path.exists()
+        assert err.startswith("error: the phase w*t overflows float64: ") and err.count("\n") == 1
+        assert invoke(capsys, argv) == (code, out, err)
 
 
 class TestErrorPaths:

@@ -28,9 +28,13 @@ class TestAsSquareComplex:
             linalg.eig_hermitian(bad)
 
 
+VECTORS = pytest.mark.parametrize("vectors", [True, False], ids=["vectors", "values"])
+
+
 class TestEigHermitian:
-    def test_diagonal_sorting(self):
-        w, _ = linalg.eig_hermitian(np.diag([3.0, 1.0, 2.0]))
+    @VECTORS
+    def test_diagonal_sorting(self, vectors):
+        w, _ = linalg.eig_hermitian(np.diag([3.0, 1.0, 2.0]), vectors=vectors)
         assert np.allclose(w, [1.0, 2.0, 3.0], rtol=0, atol=1e-14)
 
     def test_sigma_x(self):
@@ -42,9 +46,32 @@ class TestEigHermitian:
         w, _ = linalg.eig_hermitian(n_op)
         assert np.max(np.abs(w - np.arange(16))) <= 1e-12
 
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(HermiticityError):
-            linalg.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    @VECTORS
+    def test_non_hermitian_rejected(self, vectors):
+        with pytest.raises(HermiticityError, match=r"^matrix is not Hermitian: defect 1\.414e\+00 "
+                           r"exceeds 1\.0e-12 \* \|\|a\|\| = 1\.000e-12$"):
+            linalg.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), vectors=vectors)
+
+    @pytest.mark.parametrize("seed,dim", [(3, 1), (4, 17), (5, 64)])
+    def test_values_alone_match_the_full_decomposition(self, seed, dim):
+        h = random_hermitian(dim, np.random.default_rng(seed))
+        w, v = linalg.eig_hermitian(h, vectors=False)
+        assert v is None and np.all(np.diff(w) >= 0)
+        assert np.max(np.abs(w - linalg.eig_hermitian(h)[0])) <= 1e-12 * np.linalg.norm(h)
+
+    @VECTORS
+    def test_converts_its_argument_once(self, monkeypatch, vectors):
+        calls = []
+        convert = linalg.as_square_complex
+        monkeypatch.setattr(linalg, "as_square_complex", lambda *a: calls.append(a) or convert(*a))
+        linalg.eig_hermitian(np.eye(3), vectors=vectors)
+        assert len(calls) == 1
+
+    @VECTORS
+    def test_entries_whose_squares_overflow(self, vectors):
+        # ||a||^2 exceeds the float64 range; ||a|| and the levels do not.
+        w, _ = linalg.eig_hermitian(np.array([[0.0, 3e200], [3e200, 0.0]]), vectors=vectors)
+        assert np.allclose(w, [-3e200, 3e200], rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("seed,dim", [(0, 8), (1, 33), (2, 64)])
     def test_reconstruction_trace_unitarity(self, seed, dim):
@@ -63,13 +90,30 @@ class TestEigHermitian:
         w, v = linalg.eig_hermitian(h)
         assert np.linalg.norm(h @ v - v * w) <= 1e-10 * np.linalg.norm(h)
 
-    def test_nonconvergence_reported_as_solver_bug(self, monkeypatch):
+    @pytest.mark.parametrize("vectors,solver", [(True, "eigh"), (False, "eigvalsh")],
+                             ids=["vectors", "values"])
+    def test_nonconvergence_reported_as_solver_bug(self, monkeypatch, vectors, solver):
         def explode(_):
             raise np.linalg.LinAlgError("did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", explode)
-        with pytest.raises(linalg.EigenSolverError):
-            linalg.eig_hermitian(np.eye(2))
+        monkeypatch.setattr(np.linalg, solver, explode)
+        with pytest.raises(linalg.EigenSolverError,
+                           match="^Hermitian eigensolver failed to converge: did not converge$"):
+            linalg.eig_hermitian(np.eye(2), vectors=vectors)
+
+
+class TestNorm:
+    def test_plain_norm_where_it_is_finite(self):
+        a = np.random.default_rng(6).standard_normal((5, 5)) * 1e150
+        assert linalg._norm(a) == float(np.linalg.norm(a))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_rescaled_where_the_squares_overflow(self, scale):
+        a = np.array([3.0, 4.0j, 0.0]) * scale
+        assert linalg._norm(a) == pytest.approx(5.0 * scale, rel=1e-15)
+
+    def test_infinite_only_past_the_float64_range(self):
+        assert linalg._norm(np.full(4, 1e308)) == np.inf
 
 
 class TestSerialization:

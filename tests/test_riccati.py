@@ -110,6 +110,15 @@ class TestVerification:
         assert report.spectra_match is not None
         assert report.spectra_match <= 1e-10
 
+    def test_model_whose_squares_overflow_passes(self):
+        # ||h_plus||^2 is past the float64 range at 1e200; the norms are not.
+        params = ModelParams(alpha=1.0, omega=1e200, g=1e200, k=1, dim=4)
+        report = verify_involution_solution(build_blocks(params), generalized_parity(1, 4),
+                                            compare_spectra=True)
+        assert report.passed and report.relative_residual <= 1e-15
+        assert report.involution_defect == report.intertwining_defect == 0.0
+        assert report.spectra_match <= 1e-12 * 1e200
+
     def test_report_json_keys(self):
         params = seeded_params(5, 1, 8)
         report = verify_involution_solution(build_blocks(params), bosonic_parity(8),

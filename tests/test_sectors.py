@@ -110,6 +110,19 @@ class TestVerifyBand:
         assert report.params is params and report.passed
         assert report.to_dict()["params"]["g_im"] == params.g.imag
 
+    def test_model_whose_squares_overflow_passes_exactly(self):
+        # ||omega*p||^2 and ||g*amp||^2 are past the float64 range at 1e200; the norms are not.
+        params = ModelParams(alpha=1.0, omega=1e200, g=1e200, k=1, dim=4)
+        report = _sectors.verify_band(params, generalized_parity_signs(1, 4), 0.0)
+        assert report.passed and report.residual_norm == 0.0
+        assert dense_report(params, generalized_parity_signs(1, 4), 1e-10).passed
+
+    def test_band_entries_past_the_float64_range_raise(self):
+        params = ModelParams(alpha=1.0, omega=1.0, g=1e308, k=2, dim=8)
+        with pytest.raises(ValueError, match=r"^the band overflows float64: omega\*\(dim - 1\) "
+                           r"= 7\.000e\+00, \|g\|\*amp_\(dim-k-1\) = inf$"):
+            _sectors.verify_band(params, generalized_parity_signs(2, 8), 0.0)
+
     def test_zero_coupling_passes_any_sign_vector(self):
         params = ModelParams(alpha=0.5, omega=1.0, g=0.0, k=2, dim=12)
         band = _sectors.verify_band(params, bosonic_parity_signs(12), 1e-10)

@@ -275,6 +275,12 @@ class TestEvolve:
         assert times[0] == 0.0
         assert np.array_equal(states[0], state)
 
+    def test_phase_past_the_float64_range_raises(self):
+        params = ModelParams(alpha=0.4, omega=1.0, g=0.3, k=1, dim=6)
+        spec = EvolutionSpec(initial_state=self.basis_state(12, 3), dt=1e307, steps=100)
+        with pytest.raises(ValueError, match="^the phase w\\*t overflows float64: "):
+            evolve(params, spec)
+
     def test_dephasing_keeps_block_occupancy(self):
         params = ModelParams(alpha=0.0, omega=1.0, g=0.4, k=2, dim=8)
         state = self.basis_state(16, 0)
