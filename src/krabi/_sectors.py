@@ -16,8 +16,9 @@ of conj(D) W D is the real |g|*amp_p. So each block is D times a direct sum
 of k real symmetric tridiagonals times conj(D), and its eigenvectors are D
 times real vectors supported on one sector.
 
-Verification runs on the band as well, in O(dim): the parity is checked with
-the same three quantities and thresholds as
+Verification runs on the band as well, in O(dim): the parity's three defects
+are computed there and judged by
+:meth:`krabi.riccati.VerificationReport.from_norms`, the rule that
 :func:`krabi.riccati.verify_involution_solution` applies to the dense blocks.
 The generalized parity's defects there are exact zeros (s_(p+k) = -s_p), so
 every solve here verifies it at tolerance 0, once per model.
@@ -92,18 +93,11 @@ def verify_band(params: ModelParams, signs: np.ndarray, tol: float) -> Verificat
     involution_defect = float(np.linalg.norm(signs * signs - 1.0))
     intertwining_defect = math.sqrt(2.0) * abs_g * float(
         np.linalg.norm(amplitudes * (signs[:-k] + signs[k:])))
-    residual_norm = math.hypot(abs(params.alpha) * involution_defect, intertwining_defect)
-    x_norm = float(np.linalg.norm(signs))
-    return VerificationReport(
-        residual_norm=residual_norm,
-        relative_residual=residual_norm / scale if scale > 0 else residual_norm,
-        involution_defect=involution_defect,
-        intertwining_defect=intertwining_defect,
-        is_involution=involution_defect <= tol * max(1.0, x_norm**2),
-        intertwines=intertwining_defect <= tol * max(1.0, 2.0 * block_norm),
-        tolerance=float(tol),
-        params=params,
-    )
+    return VerificationReport.from_norms(
+        residual_norm=math.hypot(abs(params.alpha) * involution_defect, intertwining_defect),
+        scale=scale, involution_defect=involution_defect, x_norm=float(np.linalg.norm(signs)),
+        intertwining_defect=intertwining_defect, block_scale=2.0 * block_norm, tol=tol,
+        params=params)
 
 
 def gauge(g: complex, k: int, dim: int) -> np.ndarray:

@@ -9,6 +9,8 @@ output use 17 significant digits in scientific notation, so identical
 invocations produce byte-identical output. A flag may take a negative
 number after a space (--g -0.1+0.2i, --alpha -1e-3, --tol -inf). Only verify
 takes --tol; spectrum, sweep and evolve verify the parity at tolerance 0.
+Verdicts follow the rule of the library's verify_involution_solution, and
+--levels must lie in 1..dim, as sector_spectrum's m must.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 import numpy as np
 
 from ._sectors import real_signs, verify_band
-from .errors import HermiticityError, ShapeError, SolutionError
+from .errors import HermiticityError, ShapeError, SolutionError, _levels
 from .linalg import dump_matrix, eig_hermitian, load_vector
 from .model import ModelParams, build_blocks, build_full
 from .parity import bosonic_parity_signs, generalized_parity_signs, two_photon_parity_signs
@@ -118,8 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lo", type=float, required=True)
     p_sweep.add_argument("--hi", type=float, required=True)
     p_sweep.add_argument("--steps", type=_positive_int, required=True)
-    p_sweep.add_argument("--jobs", type=_positive_int, default=1,
-                         help="worker threads for grid points (output order is fixed)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_evolve = subs.add_parser("evolve", help="evolve a state through the decoupled blocks")
@@ -183,14 +183,11 @@ def _cmd_parity_table(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     params = _params_from(args)
-    if args.levels > params.dim:
-        raise ShapeError(
-            f"levels must satisfy 1 <= levels <= dim = {params.dim}, got {args.levels}"
-        )
+    levels = _levels(args.levels, params.dim)
     # Deviation is measured over the complete spectra, not just the
     # reported lowest levels.
     full_top, full_bottom = sector_spectrum(params, params.dim)
-    w_top, w_bottom = full_top[: args.levels], full_bottom[: args.levels]
+    w_top, w_bottom = full_top[:levels], full_bottom[:levels]
     merged = np.sort(np.concatenate([full_top, full_bottom]))
     full = eig_hermitian(build_full(params), vectors=False)[0]
     deviation = float(np.max(np.abs(merged - full)))
@@ -207,7 +204,7 @@ def _cmd_sweep(args) -> int:
     params = _params_from(args)
     spec = SweepSpec(base=params, param=args.param, lo=args.lo, hi=args.hi,
                      steps=args.steps, levels=args.levels)
-    rows = sweep(spec, jobs=args.jobs)
+    rows = sweep(spec)
     _emit([sweep_csv(rows)], args.out)
     return 0
 

@@ -42,3 +42,11 @@ def _k_dim(k, dim) -> tuple[int, int]:
     if dim < 2 * k:
         raise ShapeError(f"dim must be at least 2*k = {2 * k}, got {dim}")
     return k, dim
+
+
+def _levels(levels, dim: int, name: str = "levels") -> int:
+    """A count of lowest levels within 1..dim; ShapeError outside it."""
+    levels = _integer(levels, name)
+    if not 1 <= levels <= dim:
+        raise ShapeError(f"{name} must satisfy 1 <= {name} <= dim = {dim}, got {levels}")
+    return levels

@@ -11,7 +11,9 @@ and is deterministic: identical input bytes produce identical output bytes
 on a given platform. Callers that read only eigenvalues pass
 ``vectors=False``, which skips building the eigenvector matrix. Norms go
 through :func:`_norm`, which stays finite where the sum of squares of
-finite entries overflows but the norm does not.
+finite entries overflows but the norm does not. :func:`_checked_hermitian`
+holds the package's one Hermiticity rule; the eigensolver and
+:class:`krabi.model.BlockOperator` both apply it.
 """
 
 from __future__ import annotations
@@ -58,16 +60,30 @@ def _norm(a) -> float:
     return norm
 
 
-def hermiticity_defect(a) -> float:
-    """Frobenius norm of ``a - a^dag``."""
-    a = as_square_complex(a, "a")
-    return _norm(a - a.conj().T)
+def _checked_hermitian(a, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` as a square ``complex128`` array, and its adjoint ``a^dag``.
+
+    The one Hermiticity rule of the package: raises HermiticityError when
+    ``||a - a^dag||_F`` exceeds ``HERMITICITY_RTOL * ||a||_F``. An exactly
+    Hermitian matrix, as every assembled one here is, needs no bound.
+    """
+    a = as_square_complex(a, name)
+    adjoint = a.conj().T
+    defect = _norm(a - adjoint)
+    if defect > 0:
+        bound = HERMITICITY_RTOL * _norm(a)
+        if defect > bound:
+            raise HermiticityError(
+                f"matrix is not Hermitian: defect {defect:.3e} "
+                f"exceeds {HERMITICITY_RTOL:.1e} * ||{name}|| = {bound:.3e}"
+            )
+    return a, adjoint
 
 
 def eig_hermitian(a, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenvalues, and by default eigenvectors, of a Hermitian matrix.
 
-    Checks Hermiticity to ``HERMITICITY_RTOL * ||a||_F``, symmetrizes to
+    Checks Hermiticity (:func:`_checked_hermitian`), symmetrizes to
     ``(a + a^dag)/2`` to absorb assembly roundoff, and diagonalizes. Returns
     ``(w, v)``: real eigenvalues ``w`` ascending and eigenvectors as the
     columns of the unitary ``v``, so that ``a @ v[:, i] = w[i] * v[:, i]``.
@@ -77,18 +93,9 @@ def eig_hermitian(a, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | 
     Raises HermiticityError for non-Hermitian input and EigenSolverError if
     the iteration fails to converge (which indicates a bug, not bad input).
     """
-    a = as_square_complex(a, "a")
-    adjoint = a.conj().T
-    defect = _norm(a - adjoint)
-    # An exactly Hermitian matrix, as every assembled one here is, needs no bound.
-    if defect > 0:
-        bound = HERMITICITY_RTOL * _norm(a)
-        if defect > bound:
-            raise HermiticityError(
-                f"matrix is not Hermitian: defect {defect:.3e} "
-                f"exceeds {HERMITICITY_RTOL:.1e} * ||a|| = {bound:.3e}"
-            )
-    h = (a + adjoint) / 2.0
+    a, adjoint = _checked_hermitian(a, "a")
+    # Halved before the sum, which cannot overflow for finite entries.
+    h = a * 0.5 + adjoint * 0.5
     try:
         if not vectors:
             return np.linalg.eigvalsh(h), None

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HermiticityError, ShapeError, _k_dim
+from .errors import ShapeError, _k_dim
 from .fock import annihilation, number, power_k
-from .linalg import HERMITICITY_RTOL, _norm, as_square_complex, hermiticity_defect
+from .linalg import _checked_hermitian, as_square_complex
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,10 @@ class BlockOperator:
 
     Represents the 2x2 block matrix [[h_plus, coupling],
     [coupling^dag, h_minus]] acting on two stacked copies of the truncated
-    boson space. h_plus and h_minus must be Hermitian within tolerance;
-    for the Rabi model the coupling block is exactly alpha*I. Treated as
-    an immutable value after construction.
+    boson space. h_plus and h_minus must pass the Hermiticity check of
+    :mod:`krabi.linalg`, the one the eigensolver applies; for the Rabi
+    model the coupling block is exactly alpha*I. Treated as an immutable
+    value after construction.
     """
 
     h_plus: np.ndarray
@@ -78,17 +79,13 @@ class BlockOperator:
     coupling: np.ndarray
 
     def __post_init__(self):
-        hp = as_square_complex(self.h_plus, "h_plus")
-        hm = as_square_complex(self.h_minus, "h_minus")
+        hp = _checked_hermitian(self.h_plus, "h_plus")[0]
+        hm = _checked_hermitian(self.h_minus, "h_minus")[0]
         v = as_square_complex(self.coupling, "coupling")
         if not (hp.shape == hm.shape == v.shape):
             raise ShapeError(
                 f"block dimensions differ: {hp.shape[0]}, {hm.shape[0]}, {v.shape[0]}"
             )
-        for name, block in (("h_plus", hp), ("h_minus", hm)):
-            defect = hermiticity_defect(block)
-            if defect > 0 and defect > HERMITICITY_RTOL * _norm(block):
-                raise HermiticityError(f"{name} is not Hermitian: defect {defect:.3e}")
         object.__setattr__(self, "h_plus", hp)
         object.__setattr__(self, "h_minus", hm)
         object.__setattr__(self, "coupling", v)

@@ -19,7 +19,9 @@ anything else rather than attempting a generic block inversion.
 Verification is numerical and falsifiable: :func:`residual` evaluates the
 equation, :func:`verify_involution_solution` scores a candidate and
 :func:`block_diagonalize` demands a verified candidate before producing
-the decoupled blocks h_plus + v x and h_minus - (v x)^dag.
+the decoupled blocks h_plus + v x and h_minus - (v x)^dag. Both this dense
+route and the band route of :mod:`krabi._sectors` only compute norms, and
+:meth:`VerificationReport.from_norms` gives the verdict.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, SolutionError
-from .linalg import HERMITICITY_RTOL, _norm, as_square_complex, eig_hermitian
+from .errors import HermiticityError, ShapeError, SolutionError
+from .linalg import HERMITICITY_RTOL, _checked_hermitian, _norm, as_square_complex, eig_hermitian
 from .model import BlockOperator, ModelParams
 
 #: Default relative verification tolerance. Two orders of headroom above
@@ -56,16 +58,28 @@ def residual(blocks: BlockOperator, x) -> np.ndarray:
     return x @ v @ x + x @ blocks.h_plus - blocks.h_minus @ x - v.conj().T
 
 
+def _is_involution(defect: float, x_norm: float, tol: float) -> bool:
+    """``||x^2 - I|| <= tol * max(1, ||x||^2)``, divided through by max(1, ||x||).
+
+    So an infinite defect fails even where ||x||^2 is past the float64 range.
+    """
+    root = max(1.0, x_norm)
+    return defect / root <= tol * root
+
+
 @dataclass
 class VerificationReport:
-    """Outcome of checking a candidate against the Riccati equation.
+    """Outcome of checking a candidate x against the Riccati equation.
 
-    ``relative_residual`` scales the residual norm by
-    ||h_plus|| + ||h_minus|| + 2*||v|| (Frobenius). ``is_involution`` and
-    ``intertwines`` reflect the stored defect norms compared against
-    ``tolerance``. ``spectra_match`` is the maximum deviation between the
-    sorted union of the decoupled block spectra and the full spectrum; it
-    is filled only when requested and only for a passing candidate.
+    :meth:`from_norms` holds the package's one verdict rule.
+    ``relative_residual`` is the residual norm over
+    ||h_plus|| + ||h_minus|| + 2*||v|| (Frobenius), or the residual norm
+    itself when that scale is 0. ``is_involution`` holds when
+    ||x^2 - I|| <= tolerance * max(1, ||x||^2), and ``intertwines`` when
+    ||x h_plus - h_minus x|| <= tolerance * max(1, ||h_plus|| + ||h_minus||).
+    ``spectra_match`` is the maximum deviation between the sorted union of
+    the decoupled block spectra and the full spectrum; it is filled only
+    when requested and only for a passing candidate.
     """
 
     residual_norm: float
@@ -77,6 +91,22 @@ class VerificationReport:
     tolerance: float
     spectra_match: float | None = None
     params: ModelParams | None = field(default=None, repr=False)
+
+    @classmethod
+    def from_norms(cls, *, residual_norm, scale, involution_defect, x_norm,
+                   intertwining_defect, block_scale, tol, params=None) -> VerificationReport:
+        """The report on x from its norms: ``scale`` is ||h_plus|| + ||h_minus||
+        + 2*||v|| and ``block_scale`` is ||h_plus|| + ||h_minus||."""
+        return cls(
+            residual_norm=residual_norm,
+            relative_residual=residual_norm / scale if scale > 0 else residual_norm,
+            involution_defect=involution_defect,
+            intertwining_defect=intertwining_defect,
+            is_involution=_is_involution(involution_defect, x_norm, tol),
+            intertwines=intertwining_defect <= tol * max(1.0, block_scale),
+            tolerance=float(tol),
+            params=params,
+        )
 
     @property
     def passed(self) -> bool:
@@ -129,32 +159,13 @@ def verify_involution_solution(
     report so that claims stay falsifiable.
     """
     x = _checked_candidate(blocks, x)
-    dim = blocks.dim
     hp, hm, v = blocks.h_plus, blocks.h_minus, blocks.coupling
-
-    res = residual(blocks, x)
-    residual_norm = _norm(res)
     block_scale = _norm(hp) + _norm(hm)
-    scale = block_scale + 2.0 * _norm(v)
-    relative_residual = residual_norm / scale if scale > 0 else residual_norm
-
-    x_norm = _norm(x)
-    involution_defect = _norm(x @ x - np.eye(dim))
-    is_involution = involution_defect <= tol * max(1.0, x_norm * x_norm)
-
-    intertwining_defect = _norm(x @ hp - hm @ x)
-    intertwines = intertwining_defect <= tol * max(1.0, block_scale)
-
-    report = VerificationReport(
-        residual_norm=residual_norm,
-        relative_residual=relative_residual,
-        involution_defect=involution_defect,
-        intertwining_defect=intertwining_defect,
-        is_involution=is_involution,
-        intertwines=intertwines,
-        tolerance=float(tol),
-        params=params,
-    )
+    report = VerificationReport.from_norms(
+        residual_norm=_norm(residual(blocks, x)), scale=block_scale + 2.0 * _norm(v),
+        involution_defect=_norm(x @ x - np.eye(blocks.dim)), x_norm=_norm(x),
+        intertwining_defect=_norm(x @ hp - hm @ x), block_scale=block_scale,
+        tol=tol, params=params)
 
     if compare_spectra and report.passed:
         report.spectra_match = _spectra_match(blocks, x)
@@ -179,15 +190,18 @@ def similarity_transform(x) -> tuple[np.ndarray, np.ndarray]:
     Raises SolutionError otherwise; inverting the transform for a general
     x is out of scope.
     """
-    x = as_square_complex(x, "x")
+    try:
+        x, adjoint = _checked_hermitian(x, "x")
+    except HermiticityError:
+        raise SolutionError("x is not Hermitian; closed-form inverse unavailable") from None
     dim = x.shape[0]
-    norm = float(np.linalg.norm(x))
-    if float(np.linalg.norm(x - x.conj().T)) > HERMITICITY_RTOL * max(1.0, norm):
-        raise SolutionError("x is not Hermitian; closed-form inverse unavailable")
-    if float(np.linalg.norm(x @ x - np.eye(dim))) > HERMITICITY_RTOL * max(1.0, norm**2):
+    # A Hermitian involution is unitary, so an overflowing x @ x is no involution.
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = _norm(x @ x - np.eye(dim))
+    if not _is_involution(defect, _norm(x), HERMITICITY_RTOL):
         raise SolutionError("x is not an involution; closed-form inverse unavailable")
     eye = np.eye(dim, dtype=np.complex128)
-    s = np.block([[eye, -x.conj().T], [x, eye]])
+    s = np.block([[eye, -adjoint], [x, eye]])
     s_inv = 0.5 * np.block([[eye, x], [-x, eye]])
     return s, s_inv
 

@@ -8,10 +8,10 @@ spectrum deviation reported by the CLI).
 
 Each model's parity is verified exactly, on the band (:mod:`krabi._sectors`).
 sector_spectrum and evolution solve each block as k real tridiagonal sector
-matrices. Only sweep still solves the dense blocks, one grid point at a
-time, for their eigenvalues alone: the faster sector route grows the
-benchmark's speed-sized input pool past sweep-small's memory bound, so it
-waits for a batched sweep.
+matrices. Only sweep still solves the dense blocks, one grid point after
+another in grid order, for their eigenvalues alone: the faster sector route
+grows the benchmark's speed-sized input pool past sweep-small's memory
+bound, so it waits for a batched sweep.
 
 Time evolution uses eigendecomposition rather than ODE stepping, so there
 is no step-size parameter to tune: the state is rotated into the block
@@ -41,7 +41,7 @@ import numpy as np
 
 from ._format import WORDS, format_fields
 from ._sectors import SectorSystem, _verified_sectors, sector_eigensystem, sector_levels
-from .errors import ShapeError, _integer
+from .errors import ShapeError, _integer, _levels
 from .linalg import eig_hermitian
 from .model import ModelParams, build_blocks
 from .riccati import _decoupled_blocks
@@ -75,13 +75,9 @@ class SweepSpec:
         if self.lo > self.hi:
             raise ValueError(f"invalid range: lo = {self.lo} > hi = {self.hi}")
         object.__setattr__(self, "steps", _integer(self.steps, "steps"))
-        object.__setattr__(self, "levels", _integer(self.levels, "levels"))
         if self.steps < 2:
             raise ValueError(f"steps must be at least 2, got {self.steps}")
-        if not 1 <= self.levels <= self.base.dim:
-            raise ValueError(
-                f"levels must satisfy 1 <= levels <= dim = {self.base.dim}, got {self.levels}"
-            )
+        object.__setattr__(self, "levels", _levels(self.levels, self.base.dim))
         if self.param == "omega" and self.lo <= 0:
             raise ValueError("omega sweep requires lo > 0")
         if self.param == "g" and self.lo < 0:
@@ -142,45 +138,27 @@ def sector_spectrum(params: ModelParams, m: int) -> tuple[np.ndarray, np.ndarray
     real sector tridiagonals (:func:`krabi._sectors.sector_levels`); no dense
     matrix is built. A parity that fails raises SolutionError.
     """
-    m = _integer(m, "m")
-    if not 1 <= m <= params.dim:
-        raise ShapeError(f"m must satisfy 1 <= m <= dim = {params.dim}, got {m}")
+    m = _levels(m, params.dim, "m")
     top, bottom = sector_levels(params)
     return top[:m].copy(), bottom[:m].copy()
 
 
-def sweep(spec: SweepSpec, *, jobs: int = 1) -> list:
+def sweep(spec: SweepSpec) -> list:
     """Evaluate a sweep; rows are (value, block, level, eigenvalue).
 
-    Grid order, then block "+" before "-", then level index: the ordering
-    is deterministic regardless of how many worker threads evaluate the
-    independent grid points. The parity is verified on the band at each
-    point, as in :func:`sector_spectrum`; the blocks are then solved dense,
-    for eigenvalues only.
+    Grid order, then block "+" before "-", then level index. The parity is
+    verified on the band at each point, as in :func:`sector_spectrum`; the
+    blocks are then solved dense, for eigenvalues only.
     """
-    jobs = _integer(jobs, "jobs")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    grid = np.linspace(spec.lo, spec.hi, spec.steps)
-
-    def point(value: float) -> list:
+    rows = []
+    for value in np.linspace(spec.lo, spec.hi, spec.steps):
+        value = float(value)
         # Dense on purpose: a faster sweep grows the benchmark's input pool past its RSS bound.
-        top, bottom = _verified_blocks(spec.params_at(float(value)))
-        w_top = eig_hermitian(top, vectors=False)[0][: spec.levels]
-        w_bottom = eig_hermitian(bottom, vectors=False)[0][: spec.levels]
-        rows = [(float(value), "+", i, float(w)) for i, w in enumerate(w_top)]
-        rows += [(float(value), "-", i, float(w)) for i, w in enumerate(w_bottom)]
-        return rows
-
-    if jobs == 1:
-        chunks = [point(v) for v in grid]
-    else:
-        # Imported here: only --jobs > 1 needs it, and it costs every import.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(point, grid))
-    return [row for chunk in chunks for row in chunk]
+        top, bottom = _verified_blocks(spec.params_at(value))
+        for block, matrix in (("+", top), ("-", bottom)):
+            levels = eig_hermitian(matrix, vectors=False)[0][: spec.levels]
+            rows += [(value, block, i, float(w)) for i, w in enumerate(levels)]
+    return rows
 
 
 def sweep_csv(rows) -> str:

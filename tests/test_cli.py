@@ -221,8 +221,7 @@ class TestSpectrumAndSweep:
                 "--steps", "3", "--levels", "2"]
         _, first, _ = invoke(capsys, argv)
         _, second, _ = invoke(capsys, argv)
-        _, threaded, _ = invoke(capsys, argv + ["--jobs", "2"])
-        assert first == second == threaded
+        assert first == second
         assert first.splitlines()[0] == "param,block,level,eigenvalue"
         assert len(first.splitlines()) == 1 + 3 * 2 * 2
 
@@ -243,6 +242,11 @@ class TestSpectrumAndSweep:
             assert len(point) == 6
             for _, block, level, w in point:
                 assert abs(float(w) - levels[block][int(level)]) <= 1e-12 * scale
+
+    def test_sweep_has_no_jobs_flag(self, capsys):
+        argv = ["sweep", *MODEL, "--param", "g", "--lo", "0", "--hi", "0.4", "--steps", "3",
+                "--levels", "2", "--jobs", "2"]
+        assert invoke(capsys, argv) == (2, "", "error: unrecognized arguments: --jobs 2\n")
 
     def test_sweep_invalid_range(self, capsys):
         code, _, err = invoke(capsys, ["sweep", *MODEL, "--param", "g", "--lo", "1",
@@ -557,6 +561,10 @@ class TestErrorMessages:
         (["spectrum", "--k", "2", "--dim", "3", "--alpha", "1", "--omega", "1", "--g", "0.5",
           "--levels", "2"], "dim must be at least 2*k = 4, got 3"),
         ([*SWEEP, "--steps", "1"], "steps must be at least 2, got 1"),
+        (["spectrum", *MODEL, "--levels", "13"],
+         "levels must satisfy 1 <= levels <= dim = 12, got 13"),
+        (["sweep", *MODEL, "--levels", "13", "--param", "g", "--lo", "0", "--hi", "0.4",
+          "--steps", "2"], "levels must satisfy 1 <= levels <= dim = 12, got 13"),
     ])
     def test_range_errors_keep_their_text(self, capsys, argv, line):
         assert invoke(capsys, argv) == (2, "", f"error: {line}\n")
@@ -614,8 +622,8 @@ class TestTolerance:
 
 class TestImport:
     def test_thread_pool_is_imported_only_by_parallel_sweeps(self):
-        # concurrent.futures (and logging with it) costs every subcommand's
-        # start-up; only sweep --jobs N with N > 1 needs it.
+        # concurrent.futures (and logging with it) would cost every subcommand's
+        # start-up; no command needs it since sweep lost its thread pool.
         code = ("import sys, krabi, krabi.cli; "
                 "print('concurrent.futures' in sys.modules)")
         env = {**os.environ, "PYTHONPATH": os.path.dirname(krabi.__path__[0])}

@@ -9,6 +9,7 @@ accepted and come back as Python ints.
 import numpy as np
 import pytest
 
+from krabi.errors import ShapeError
 from krabi.fock import annihilation, number, power_k
 from krabi.model import ModelParams
 from krabi.parity import (
@@ -19,7 +20,7 @@ from krabi.parity import (
     restricted_ops,
     two_photon_parity_signs,
 )
-from krabi.spectra import EvolutionSpec, SweepSpec, sector_spectrum, sweep
+from krabi.spectra import EvolutionSpec, SweepSpec, sector_spectrum
 
 BASE = ModelParams(alpha=0.5, omega=1.0, g=0.1, k=2, dim=8)
 SD = decompose(2, 8)
@@ -51,8 +52,6 @@ ENTRY_POINTS = {
     "SweepSpec.levels": lambda x: SweepSpec(base=BASE, param="g", lo=0.0, hi=0.1, steps=2,
                                             levels=x),
     "EvolutionSpec.steps": lambda x: EvolutionSpec(initial_state=STATE, dt=0.1, steps=x),
-    "sweep.jobs": lambda x: sweep(SweepSpec(base=BASE, param="g", lo=0.0, hi=0.1, steps=2,
-                                            levels=2), jobs=x),
 }
 
 
@@ -81,3 +80,20 @@ def test_specs_store_python_ints():
     evolution = EvolutionSpec(initial_state=STATE, dt=0.1, steps=np.int64(4))
     assert type(sweep.steps) is int and type(sweep.levels) is int
     assert type(evolution.steps) is int
+
+
+# name -> (the argument's name in the message, function of that argument).
+LEVEL_COUNTS = {
+    "SweepSpec.levels": ("levels", lambda x: SweepSpec(base=BASE, param="g", lo=0.0, hi=0.1,
+                                                       steps=2, levels=x)),
+    "sector_spectrum.m": ("m", lambda x: sector_spectrum(BASE, x)),
+}
+
+
+@pytest.mark.parametrize("value", [0, 9])
+@pytest.mark.parametrize("name", list(LEVEL_COUNTS))
+def test_level_count_outside_one_to_dim_is_a_shape_error(name, value):
+    arg, call = LEVEL_COUNTS[name]
+    with pytest.raises(ShapeError, match=rf"^{arg} must satisfy 1 <= {arg} <= dim = 8, "
+                                         rf"got {value}$"):
+        call(value)

@@ -73,6 +73,12 @@ class TestEigHermitian:
         w, _ = linalg.eig_hermitian(np.array([[0.0, 3e200], [3e200, 0.0]]), vectors=vectors)
         assert np.allclose(w, [-3e200, 3e200], rtol=1e-15, atol=0)
 
+    @VECTORS
+    def test_entries_near_the_float64_limit(self, vectors):
+        # a + a^dag overflows here; its halves do not.
+        w, _ = linalg.eig_hermitian(np.array([[0.0, 1e308], [1e308, 0.0]]), vectors=vectors)
+        assert w.tolist() == [-1e308, 1e308]
+
     @pytest.mark.parametrize("seed,dim", [(0, 8), (1, 33), (2, 64)])
     def test_reconstruction_trace_unitarity(self, seed, dim):
         rng = np.random.default_rng(seed)

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from krabi.errors import ShapeError
+from krabi.errors import HermiticityError, ShapeError
 from krabi.fock import number
 from krabi.linalg import eig_hermitian
-from krabi.model import ModelParams, build_blocks, build_full
+from krabi.model import BlockOperator, ModelParams, build_blocks, build_full
 
 HAND = ModelParams(alpha=0.5, omega=1.0, g=1.0, k=1, dim=2)
 
@@ -73,6 +73,19 @@ class TestBlocks:
         for block in (blocks.h_plus, blocks.h_minus):
             defect = np.linalg.norm(block - block.conj().T)
             assert defect <= 1e-13 * max(1.0, np.linalg.norm(block))
+
+    @pytest.mark.parametrize("name", ["h_plus", "h_minus"])
+    def test_blocks_held_to_the_eigensolver_rule(self, name):
+        eye = np.eye(2)
+        skew = {"h_plus": eye, "h_minus": eye, "coupling": eye,
+                name: np.array([[0.0, 1.0], [0.0, 0.0]])}
+        with pytest.raises(HermiticityError, match=rf"^matrix is not Hermitian: defect "
+                           rf"1\.414e\+00 exceeds 1\.0e-12 \* \|\|{name}\|\| = 1\.000e-12$"):
+            BlockOperator(**skew)
+        # Roundoff well inside HERMITICITY_RTOL * ||block|| passes, as in eig_hermitian.
+        nearly = np.array([[1.0, 1.0], [1.0 + 1e-14, 1.0]])
+        stored = BlockOperator(**{**skew, name: nearly})
+        assert np.array_equal(getattr(stored, name), nearly)
 
 
 class TestFullMatrix:

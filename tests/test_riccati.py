@@ -151,6 +151,12 @@ class TestSimilarityTransform:
         with pytest.raises(SolutionError):
             similarity_transform(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
 
+    @pytest.mark.parametrize("e", [1e100, 1.3e154, 1e160, 1e200])
+    def test_non_involution_whose_norm_overflows_rejected(self, e):
+        # ||x @ x - I|| or ||x||^2 passes the float64 range: the check still holds.
+        with pytest.raises(SolutionError, match="^x is not an involution; "):
+            similarity_transform(np.array([[0.0, e], [e, 0.0]]))
+
     def test_non_hermitian_rejected(self):
         x = np.array([[1.0, 1.0], [0.0, -1.0]], dtype=complex)  # involution, not Hermitian
         assert np.array_equal(x @ x, np.eye(2, dtype=complex))

@@ -98,11 +98,16 @@ class TestVerifyBand:
     @pytest.mark.parametrize("name,k,dim,signs", CANDIDATES, ids=[c[0] for c in CANDIDATES])
     def test_matches_dense_verification(self, name, k, dim, signs, alpha):
         params = dataclasses.replace(seeded_params(dim, k, dim), alpha=alpha)
-        band = _sectors.verify_band(params, signs, 1e-10)
-        dense = dense_report(params, signs, 1e-10)
-        assert band.passed == dense.passed == name.startswith("parity")
-        assert (band.is_involution, band.intertwines) == (dense.is_involution, dense.intertwines)
-        assert_same_defects(band, dense, params)
+        for tol in (0.0, 1e-10, 1e-3):
+            band = _sectors.verify_band(params, signs, tol)
+            dense = dense_report(params, signs, tol)
+            assert band.passed == name.startswith("parity")
+            assert (band.is_involution, band.intertwines) == (dense.is_involution,
+                                                              dense.intertwines)
+            # At tolerance 0 the dense residual's roundoff can fail the parity; the band's
+            # residual is exactly 0.
+            assert dense.passed == band.passed or (tol == 0 and dense.relative_residual > 0)
+            assert_same_defects(band, dense, params)
 
     def test_report_carries_the_params(self):
         params = seeded_params(3, 2, 12)

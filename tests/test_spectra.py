@@ -234,8 +234,7 @@ class TestSweep:
         spec = SweepSpec(base=self.BASE, param="g", lo=0.0, hi=0.3, steps=4, levels=2)
         first = sweep_csv(sweep(spec))
         second = sweep_csv(sweep(spec))
-        threaded = sweep_csv(sweep(spec, jobs=3))
-        assert first == second == threaded
+        assert first == second
         assert first.splitlines()[0] == "param,block,level,eigenvalue"
 
     @pytest.mark.parametrize("param,lo,hi", [("g", 0.0, 0.4), ("alpha", -0.5, 0.8),
