@@ -14,7 +14,10 @@ are tridiagonal on each sector l (Fock indices l-1, l-1+k, ...). The
 diagonal unitary D = diag(exp(i*arg(g)*p/k)) takes the phase off g: the band
 of conj(D) W D is the real |g|*amp_p. So each block is D times a direct sum
 of k real symmetric tridiagonals times conj(D), and its eigenvectors are D
-times real vectors supported on one sector.
+times real vectors supported on one sector. Both blocks' sectors are held
+as one (2, k, n) stack, n = ceil(dim/k), and solved in one call; when k does
+not divide dim, each short sector ends in a pad, a decoupled state whose
+level lies above the block's spectrum and is dropped.
 
 Verification runs on the band as well, in O(dim): the parity's three defects
 are computed there and judged by
@@ -31,28 +34,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EigenSolverError, SolutionError
+from .errors import SolutionError
+from .linalg import _eigh
 from .model import ModelParams
 from .parity import _lowering_band, generalized_parity_signs
 from .riccati import VerificationReport, _require_passed
 
 
 def band(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal omega*p (p < dim) and coupling amplitudes amp_p (p < dim - k).
-
-    Raises ValueError when a band entry, omega*p or |g|*amp_p, overflows
-    float64.
-    """
-    amplitudes = _lowering_band(params.k, params.dim)
-    # Both grow with p, so the last entries are the largest.
-    largest = (params.omega * (params.dim - 1),
-               math.hypot(params.g.real, params.g.imag) * float(amplitudes[-1]))
-    if not all(map(math.isfinite, largest)):
-        raise ValueError(
-            f"the band overflows float64: omega*(dim - 1) = {largest[0]:.3e}, "
-            f"|g|*amp_(dim-k-1) = {largest[1]:.3e}"
-        )
-    return params.omega * np.arange(params.dim, dtype=np.float64), amplitudes
+    """Diagonal omega*p (p < dim) and coupling amplitudes amp_p (p < dim - k)."""
+    return (params.omega * np.arange(params.dim, dtype=np.float64),
+            _lowering_band(params.k, params.dim))
 
 
 def real_signs(signs) -> np.ndarray:
@@ -76,20 +68,16 @@ def verify_band(params: ModelParams, signs: np.ndarray, tol: float) -> Verificat
     conj(g)*amp_p*(s_p + s_(p+k)) at (p, p+k), with its conjugate at (p+k, p).
     h_plus and h_minus share the norm sqrt(||omega*p||^2 + 2*||g*amp||^2).
     omega and |g| multiply norms taken without them, so no sum of squares
-    overflows. Raises ValueError, as :func:`band` does, when the scale
-    2*||h_pm|| + 2*|alpha|*sqrt(dim) overflows float64: past it the levels
-    themselves may.
+    overflows. :meth:`VerificationReport.from_norms` raises ValueError when
+    the scale 2*||h_pm|| + 2*|alpha|*sqrt(dim) overflows float64.
     """
-    _, amplitudes = band(params)
+    amplitudes = _lowering_band(params.k, params.dim)
     k, dim, abs_g = params.k, params.dim, abs(params.g)
     # ||(0, 1, ..., dim - 1)|| in closed form.
     diagonal_norm = params.omega * math.sqrt((dim - 1) * dim * (2 * dim - 1) / 6)
     coupling_norm = abs_g * float(np.linalg.norm(amplitudes))
     block_norm = math.hypot(diagonal_norm, math.sqrt(2.0) * coupling_norm)
     scale = 2.0 * block_norm + 2.0 * abs(params.alpha) * math.sqrt(dim)
-    if not math.isfinite(scale):
-        raise ValueError("the band overflows float64: 2*||h_pm|| + 2*|alpha|*sqrt(dim) "
-                         f"= {scale:.3e}")
     involution_defect = float(np.linalg.norm(signs * signs - 1.0))
     intertwining_defect = math.sqrt(2.0) * abs_g * float(
         np.linalg.norm(amplitudes * (signs[:-k] + signs[k:])))
@@ -114,77 +102,93 @@ def gauge(g: complex, k: int, dim: int) -> np.ndarray:
     return np.exp(1j * hi * n) * np.exp(1j * ((theta - hi) * n + theta * r / k))
 
 
-def _solve_tridiagonal(solver, diagonal: np.ndarray, off: np.ndarray):
-    """``solver`` (``np.linalg.eigh`` or ``eigvalsh``) of a real symmetric tridiagonal."""
-    n = diagonal.size
-    matrix = np.diag(diagonal)
-    index = np.arange(n - 1)
-    matrix[index + 1, index] = off
-    matrix[index, index + 1] = off
-    try:
-        return solver(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"Hermitian eigensolver failed to converge: {exc}") from exc
+def sector_axes(x: np.ndarray, k: int, axis: int = -1) -> np.ndarray:
+    """View of ``x`` with its Fock axis, of length k*n, split into (sector l, level i).
 
-
-def _verified_sectors(params: ModelParams):
-    """Verify the generalized parity on the band; return ``(signs, sectors)``.
-
-    ``sectors[b][l]`` is the (diagonal, off-diagonal) pair of block b (0 top,
-    1 bottom) on sector l + 1: ``omega*p +- alpha*s_p`` and ``+-|g|*amp_p``
-    on Fock indices l, l + k, .... Raises SolutionError, as
-    :func:`krabi.riccati.block_diagonalize` does, when the parity is not a
-    real +-1 vector or fails verification at tolerance 0.
+    Fock state p = i*k + l is entry (l, i): the package's one Fock <-> sector layout.
     """
-    k, dim = params.k, params.dim
-    signs = real_signs(generalized_parity_signs(k, dim))
+    axis %= x.ndim
+    return x.reshape(x.shape[:axis] + (-1, k) + x.shape[axis + 1 :]).swapaxes(axis, axis + 1)
+
+
+def to_sectors(x: np.ndarray, k: int) -> np.ndarray:
+    """``x[..., p]`` (p < dim) as ``(..., k, n)``, n = ceil(dim/k), zero on the pads.
+
+    A pad ends each of sectors dim % k + 1 ... k when k does not divide dim.
+    """
+    padded = np.zeros(x.shape[:-1] + (x.shape[-1] + -x.shape[-1] % k,), dtype=x.dtype)
+    padded[..., : x.shape[-1]] = x
+    return sector_axes(padded, k)
+
+
+def fock_mask(k: int, dim: int) -> np.ndarray:
+    """``(k, n)`` mask of the sector positions that hold a Fock state: False on the pads."""
+    return to_sectors(np.ones(dim, dtype=bool), k)
+
+
+def _verified_signs(params: ModelParams) -> np.ndarray:
+    """The generalized parity's signs, verified on the band at tolerance 0; SolutionError,
+    as :func:`krabi.riccati.block_diagonalize` raises, when they fail."""
+    signs = real_signs(generalized_parity_signs(params.k, params.dim))
     _require_passed(verify_band(params, signs, 0.0))
+    return signs
+
+
+def _sector_matrices(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Verify the parity on the band; return ``(signs, t)``, t the sector tridiagonals.
+
+    ``t[b, l]`` (shape ``(2, k, n, n)``, n = ceil(dim/k)) is block b (0 top,
+    1 bottom) on sector l + 1: diagonal ``omega*p +- alpha*s_p`` and
+    off-diagonal ``+-|g|*amp_p`` on Fock indices l, l + k, .... A pad is
+    coupled to nothing, and its diagonal, (max |diagonal| + 2*max |off|) of
+    the block times 1 + 2**-20, lies above every level of the block even
+    after roundoff (Gershgorin), so its level sorts last in its sector.
+    """
+    k = params.k
+    signs = _verified_signs(params)
     diagonal, amplitudes = band(params)
-    coupling = abs(params.g) * amplitudes
-    sectors = []
-    for sign in (1.0, -1.0):
-        block_diagonal = diagonal + sign * params.alpha * signs
-        block_coupling = sign * coupling
-        sectors.append(tuple((block_diagonal[l::k], block_coupling[l::k]) for l in range(k)))
-    return signs, tuple(sectors)
+    block_sign = np.array([[1.0], [-1.0]])
+    diagonal = to_sectors(diagonal + (block_sign * params.alpha) * signs, k)
+    off = to_sectors(block_sign * (abs(params.g) * amplitudes), k)
+    n = diagonal.shape[-1]
+    t = np.zeros(diagonal.shape + (n,))
+    flat = t.reshape(diagonal.shape[:-1] + (n * n,))  # diagonals are strided slices
+    flat[..., :: n + 1] = diagonal
+    flat[..., 1 :: n + 1] = flat[..., n :: n + 1] = off
+    bound = np.abs(diagonal).max(axis=(1, 2)) + 2.0 * np.abs(off).max(axis=(1, 2))
+    t[:, ~fock_mask(k, params.dim)[:, -1], -1, -1] = (1.0 + 2.0**-20) * bound[:, None]
+    return signs, t
 
 
 class SectorSystem(NamedTuple):
-    """Eigensystem of both decoupled blocks, sector by sector.
+    """Eigensystem of both decoupled blocks: every sector's, in one array.
 
-    ``sectors[b][l]`` is ``(w, u)`` for block b (0 top, 1 bottom) on sector
-    l + 1: ascending eigenvalues and real orthonormal eigenvectors of its
-    tridiagonal, on the sector's Fock indices l, l + k, .... The block's
-    eigenvector for column j is ``phase * v`` with v zero off the sector and
-    ``v[l::k] = u[:, j]``.
+    ``w[b, l]`` and ``u[b, l]`` (shapes ``(2, k, n)`` and ``(2, k, n, n)``)
+    are the ascending eigenvalues and real orthonormal eigenvectors (columns)
+    of block b (0 top, 1 bottom) on sector l + 1. The block's eigenvector for
+    column j is ``phase * v`` with v zero off the sector and
+    ``sector_axes(v)[l] = u[b, l, :, j]``. A short sector's last level is its
+    pad's, with the pad's unit vector.
     """
 
     signs: np.ndarray
     phase: np.ndarray
-    sectors: tuple
+    w: np.ndarray
+    u: np.ndarray
 
 
 def sector_eigensystem(params: ModelParams) -> SectorSystem:
-    """Verify the generalized parity on the band, then solve every sector.
-
-    Raises SolutionError, as :func:`krabi.riccati.block_diagonalize` does,
-    when the parity is not a real +-1 vector or fails verification exactly.
-    """
-    signs, sectors = _verified_sectors(params)
-    solved = tuple(tuple(_solve_tridiagonal(np.linalg.eigh, *pair) for pair in block)
-                   for block in sectors)
-    return SectorSystem(signs, gauge(params.g, params.k, params.dim), solved)
+    """Verify the generalized parity on the band, then solve all 2k sectors in one call."""
+    signs, t = _sector_matrices(params)
+    w, u = _eigh(t, vectors=True)
+    return SectorSystem(signs, gauge(params.g, params.k, params.dim), w, u)
 
 
 def sector_levels(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Every eigenvalue of each decoupled block, ascending: ``(top, bottom)``.
 
-    The parity is verified on the band as in :func:`sector_eigensystem`; each
-    block's levels are the merged eigenvalues of its k real sector
-    tridiagonals. The gauge D is a diagonal unitary, so it does not enter.
+    As :func:`sector_eigensystem`, for the levels alone, pads dropped. The
+    gauge D is a diagonal unitary, so it does not enter.
     """
-    _, sectors = _verified_sectors(params)
-    top, bottom = (np.sort(np.concatenate([_solve_tridiagonal(np.linalg.eigvalsh, *pair)
-                                           for pair in block]))
-                   for block in sectors)
-    return top, bottom
+    w, _ = _eigh(_sector_matrices(params)[1], vectors=False)
+    return tuple(np.sort(w[:, fock_mask(params.k, params.dim)]))

@@ -56,17 +56,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    # NaN fails both comparisons; an infinite tolerance would pass any candidate.
-    if not 0.0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError(f"expected a finite tolerance >= 0, got {text!r}")
-    return value
-
-
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser with one-line machine-parsable errors and exit 2."""
 
@@ -94,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = subs.add_parser("verify", help="verify a parity candidate against the Riccati equation")
     _add_model_args(p_verify)
-    p_verify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
+    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
                           help="relative verification tolerance, finite and >= 0")
     p_verify.add_argument("--candidate", choices=("xk", "p", "t"), default="xk",
                           help="xk: generalized parity; p: bosonic parity; t: two-photon parity")

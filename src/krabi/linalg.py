@@ -95,14 +95,16 @@ def eig_hermitian(a, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | 
     """
     a, adjoint = _checked_hermitian(a, "a")
     # Halved before the sum, which cannot overflow for finite entries.
-    h = a * 0.5 + adjoint * 0.5
+    return _eigh(a * 0.5 + adjoint * 0.5, vectors)
+
+
+def _eigh(a, vectors: bool):
+    """``np.linalg.eigh``, or ``eigvalsh`` and None, of a matrix or a stack; EigenSolverError
+    when it fails to converge."""
     try:
-        if not vectors:
-            return np.linalg.eigvalsh(h), None
-        w, v = np.linalg.eigh(h)
+        return np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"Hermitian eigensolver failed to converge: {exc}") from exc
-    return w, v
 
 
 # -- plain-text serialization ------------------------------------------------

@@ -96,7 +96,13 @@ class VerificationReport:
     def from_norms(cls, *, residual_norm, scale, involution_defect, x_norm,
                    intertwining_defect, block_scale, tol, params=None) -> VerificationReport:
         """The report on x from its norms: ``scale`` is ||h_plus|| + ||h_minus||
-        + 2*||v|| and ``block_scale`` is ||h_plus|| + ||h_minus||."""
+        + 2*||v|| and ``block_scale`` is ||h_plus|| + ||h_minus||. Raises
+        ValueError unless ``tol`` is finite and >= 0 and ``scale`` is finite."""
+        if not 0.0 <= tol < np.inf:  # NaN fails too
+            raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+        if not np.isfinite(scale):
+            raise ValueError("the model overflows float64: ||h_plus|| + ||h_minus|| + 2*||v|| "
+                             f"= {scale:.3e}")
         return cls(
             residual_norm=residual_norm,
             relative_residual=residual_norm / scale if scale > 0 else residual_norm,

@@ -7,15 +7,15 @@ the oracle the results are compared against (in the tests and in the
 spectrum deviation reported by the CLI).
 
 Each model's parity is verified exactly, on the band (:mod:`krabi._sectors`).
-sector_spectrum and evolution solve each block as k real tridiagonal sector
-matrices. Only sweep still solves the dense blocks, one grid point after
-another in grid order, for their eigenvalues alone: the faster sector route
-grows the benchmark's speed-sized input pool past sweep-small's memory
-bound, so it waits for a batched sweep.
+sector_spectrum and evolution solve both blocks' 2k real tridiagonal sectors
+in one call, held as one (2, k, n) stack. Only sweep still solves the dense
+blocks, one grid point after another in grid order, for their eigenvalues
+alone: the faster sector route grows the benchmark's speed-sized input pool
+past sweep-small's memory bound, so it waits for a batched sweep.
 
 Time evolution uses eigendecomposition rather than ODE stepping, so there
 is no step-size parameter to tune: the state is rotated into the block
-frame with the closed-form inverse transform, its coefficients on each
+frame with the closed-form inverse transform, its coefficients on every
 sector's eigenvectors are taken once, each picks up the exact phase
 exp(-i*w*t), and the result is rotated back. States are built one span of
 time steps at a time, so a streamed trajectory takes memory independent of
@@ -40,7 +40,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._format import WORDS, format_fields
-from ._sectors import SectorSystem, _verified_sectors, sector_eigensystem, sector_levels
+from ._sectors import (SectorSystem, _verified_signs, fock_mask, sector_axes, sector_eigensystem,
+                       sector_levels, to_sectors)
 from .errors import ShapeError, _integer, _levels
 from .linalg import eig_hermitian
 from .model import ModelParams, build_blocks
@@ -124,7 +125,7 @@ class EvolutionSpec:
 
 def _verified_blocks(params: ModelParams):
     """The dense decoupled blocks, with the parity verified on the band."""
-    signs, _ = _verified_sectors(params)
+    signs = _verified_signs(params)
     return _decoupled_blocks(build_blocks(params), np.diag(signs.astype(np.complex128)))
 
 
@@ -170,14 +171,12 @@ def sweep_csv(rows) -> str:
 
 
 def _ground_state(system: SectorSystem) -> np.ndarray:
-    signs, phase, sectors = system
-    k = len(sectors[0])
+    signs, phase, w, u = system
     # Equal lowest levels go to the top block (b = 0), then to the lowest sector.
-    _, block, l = min((w[0], b, l) for b, block_sectors in enumerate(sectors)
-                      for l, (w, _) in enumerate(block_sectors))
-    v = np.zeros(signs.size, dtype=np.complex128)
-    v[l::k] = sectors[block][l][1][:, 0]
-    v *= phase
+    block, l = np.unravel_index(np.argmin(w[:, :, 0]), w.shape[:2])
+    v = np.zeros(w[0].size, dtype=np.complex128)
+    sector_axes(v, w.shape[1])[l] = u[block, l, :, 0]
+    v = v[: signs.size] * phase
     state = np.concatenate([v, signs * v] if block == 0 else [-signs * v, v])
     return state / np.sqrt(2.0)
 
@@ -188,8 +187,8 @@ def ground_state(params: ModelParams) -> np.ndarray:
     The lowest eigenpair of the two decoupled blocks is the ground state:
     an eigenvector u of the top block maps to [u; s*u] / sqrt(2), one of the
     bottom block to [-s*u; u] / sqrt(2). The parity is verified on the band
-    at tolerance 0 and the blocks are solved sector by sector; ties go to
-    the top block, then to the lowest sector.
+    at tolerance 0 and all sectors are solved in one call; ties go to the
+    top block, then to the lowest sector.
     """
     return _ground_state(sector_eigensystem(params))
 
@@ -203,39 +202,38 @@ def _check_length(params: ModelParams, spec: EvolutionSpec) -> None:
 def _propagator(system: SectorSystem, state: np.ndarray, dt: float, steps: int):
     """``states_at(start, stop)``: physical-frame states at times j*dt, start <= j < stop.
 
-    Each sector keeps its eigenpairs (w, u) and the coefficients
-    c = u.T @ (conj(D) * b)[l::k] of the block-frame state b; a block's
-    trajectory is D * (u @ (c * exp(-i w t))). Row 0 is ``state`` exactly.
-    Raises ValueError, before any state is built, unless every phase w*t up
-    to t = steps*dt is finite.
+    Every sector keeps its eigenpairs (w, u) and the coefficients
+    c = u.T @ to_sectors(conj(D) * b) of the block-frame state b; a block's
+    trajectory is D * (u @ (c * exp(-i w t))), taken for all 2k sectors at
+    once. Row 0 is ``state`` exactly. Raises ValueError, before any state is
+    built, unless every phase w*t up to t = steps*dt is finite.
     """
-    signs, phase, sectors = system
-    largest = max(max(abs(w[0]), abs(w[-1])) for block in sectors for w, _ in block)
-    if not math.isfinite(float(largest) * (steps * dt)):
+    signs, phase, w, u = system
+    dim, k = signs.size, w.shape[1]
+    # A pad's coefficient is 0; its level is set to 0 so that it adds exact zeros.
+    levels = np.where(fock_mask(k, dim), w, 0.0)
+    largest = float(np.max(np.abs(levels)))
+    if not math.isfinite(largest * (steps * dt)):
         raise ValueError(f"the phase w*t overflows float64: |w| reaches {largest:.3e} "
                          f"and t reaches {steps * dt:.3e}")
-    dim, k = signs.size, len(sectors[0])
     upper, lower = state[:dim], state[dim:]
-    frames = ((upper + signs * lower) / 2, (lower - signs * upper) / 2)
-    kept = [[(w, u, u.T @ b[l::k]) for l, (w, u) in enumerate(block)]
-            for b, block in zip((np.conj(phase) * frame for frame in frames), sectors)]
+    frames = np.conj(phase) * np.stack(((upper + signs * lower) / 2, (lower - signs * upper) / 2))
+    c = u.swapaxes(-1, -2) @ to_sectors(frames, k)[..., None]
     column = signs[:, None]
 
     def states_at(start: int, stop: int) -> np.ndarray:
         times = np.arange(start, stop, dtype=np.float64) * dt
-        # Each sector's phase table, then its product with c, in one buffer.
-        work = np.empty((-(-dim // k), times.size), dtype=np.complex128)
-        top, bottom = (np.empty((dim, times.size), dtype=np.complex128) for _ in range(2))
-        for trajectory, block in zip((top, bottom), kept):
-            for l, (w, u, c) in enumerate(block):
-                table = work[: w.size]
-                np.multiply(-1j, np.outer(w, times), out=table)
-                np.exp(table, out=table)
-                np.multiply(c[:, None], table, out=table)
-                # Real u times complex table: one real product over (re, im) columns,
-                # written straight into the sector's rows.
-                np.matmul(u, table.view(np.float64), out=trajectory[l::k].view(np.float64))
-            trajectory *= phase[:, None]
+        # The phase table, then c * table (table * c rounds differently), in one buffer.
+        table = np.multiply(-1j, levels[..., None] * times)
+        np.exp(table, out=table)
+        np.multiply(c, table, out=table)
+        trajectory = np.empty((2, u.shape[-1] * k, times.size), dtype=np.complex128)
+        # Real u times complex table: one real product over (re, im) columns,
+        # written straight into each sector's rows.
+        np.matmul(u, table.view(np.float64),
+                  out=sector_axes(trajectory, k, axis=1).view(np.float64))
+        top, bottom = trajectory[:, :dim]
+        trajectory[:, :dim] *= phase[:, None]
         states = np.empty((times.size, 2 * dim), dtype=np.complex128)
         upper, lower = states[:, :dim].T, states[:, dim:].T
         np.subtract(top, np.multiply(column, bottom, out=upper), out=upper)

@@ -119,6 +119,25 @@ class TestVerification:
         assert report.involution_defect == report.intertwining_defect == 0.0
         assert report.spectra_match <= 1e-12 * 1e200
 
+    def test_model_whose_norm_scale_overflows_is_refused(self):
+        # ||h_plus|| and ||h_minus|| are past the float64 range; the identity is no
+        # solution here (intertwining defect 4.0e307), and once the scale was inf it passed.
+        blocks = build_blocks(ModelParams(alpha=1.0, omega=1e306, g=1e305, k=2, dim=40))
+        with pytest.raises(ValueError, match=r"^the model overflows float64: \|\|h_plus\|\| "
+                           r"\+ \|\|h_minus\|\| \+ 2\*\|\|v\|\| = inf$"):
+            block_diagonalize(blocks, np.eye(40))
+        with pytest.raises(ValueError, match="^the model overflows float64: "):
+            verify_involution_solution(blocks, generalized_parity(2, 40))
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-10, -math.inf])
+    def test_tolerance_outside_zero_to_finite_is_refused(self, tol):
+        # An infinite tolerance accepted the identity for any model.
+        blocks = build_blocks(seeded_params(6, 2, 12))
+        with pytest.raises(ValueError, match=f"^tolerance must be finite and >= 0, got {tol}$"):
+            block_diagonalize(blocks, np.eye(12), tol=tol)
+        with pytest.raises(ValueError, match="^tolerance must be finite and >= 0, "):
+            verify_involution_solution(blocks, generalized_parity(2, 12), tol=tol)
+
     def test_report_json_keys(self):
         params = seeded_params(5, 1, 8)
         report = verify_involution_solution(build_blocks(params), bosonic_parity(8),

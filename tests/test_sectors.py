@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from krabi import _sectors
-from krabi.errors import SolutionError
+from krabi.errors import EigenSolverError, SolutionError
 from krabi.fock import annihilation, power_k
 from krabi.model import ModelParams, build_blocks
 from krabi.linalg import eig_hermitian
@@ -68,10 +68,6 @@ def assert_same_defects(band, dense, params):
         assert abs(got - expected) <= 1e-12 * max(expected, floor), key
 
 
-def sorted_levels(sectors):
-    return np.sort(np.concatenate([w for w, _ in sectors]))
-
-
 class TestBand:
     @pytest.mark.parametrize("k,dim", [(1, 9), (2, 17), (3, 30), (4, 64)])
     def test_band_is_the_dense_coupling(self, k, dim):
@@ -123,9 +119,10 @@ class TestVerifyBand:
         assert dense_report(params, generalized_parity_signs(1, 4), 1e-10).passed
 
     def test_band_entries_past_the_float64_range_raise(self):
+        # |g|*amp_p overflows; so does the norm scale, which the verdict rule refuses.
         params = ModelParams(alpha=1.0, omega=1.0, g=1e308, k=2, dim=8)
-        with pytest.raises(ValueError, match=r"^the band overflows float64: omega\*\(dim - 1\) "
-                           r"= 7\.000e\+00, \|g\|\*amp_\(dim-k-1\) = inf$"):
+        with pytest.raises(ValueError, match=r"^the model overflows float64: \|\|h_plus\|\| "
+                           r"\+ \|\|h_minus\|\| \+ 2\*\|\|v\|\| = inf$"):
             _sectors.verify_band(params, generalized_parity_signs(2, 8), 0.0)
 
     def test_zero_coupling_passes_any_sign_vector(self):
@@ -180,25 +177,58 @@ class TestSectorEigensystem:
         elif variant == "alpha<0":
             params = dataclasses.replace(params, alpha=-params.alpha)
         system = _sectors.sector_eigensystem(params)
-        for sectors, dense in zip(system.sectors, dense_blocks(params)):
+        n = -(-dim // k)
+        assert system.w.shape == (2, k, n) and system.u.shape == (2, k, n, n)
+        held = _sectors.fock_mask(k, dim)
+        assert held.sum(axis=1).tolist() == [len(range(l, dim, k)) for l in range(k)]
+        assert held[:, :-1].all()  # pads only at the end of a sector
+        for w, dense in zip(system.w, dense_blocks(params)):
             w_dense = eig_hermitian(dense)[0]
             scale = np.max(np.abs(w_dense))
-            assert np.max(np.abs(sorted_levels(sectors) - w_dense)) <= 1e-12 * scale
-            assert [w.size for w, _ in sectors] == [len(range(l, dim, k)) for l in range(k)]
+            assert np.max(np.abs(np.sort(w[held]) - w_dense)) <= 1e-12 * scale
+            assert np.all(w[~held] > w_dense[-1])
+            assert np.all(np.diff(w, axis=1) >= 0)
 
     @pytest.mark.parametrize("k,dim,seed", [(1, 24, 8), (2, 33, 9), (3, 48, 10), (4, 64, 11)])
     def test_gauged_sector_vectors_are_block_eigenvectors(self, k, dim, seed):
         params = seeded_params(seed, k, dim)
         system = _sectors.sector_eigensystem(params)
-        for sectors, dense in zip(system.sectors, dense_blocks(params)):
+        for w, u, dense in zip(system.w, system.u, dense_blocks(params)):
             scale = np.linalg.norm(dense, 2)
-            for l, (w, u) in enumerate(sectors):
-                vectors = np.zeros((dim, w.size), dtype=complex)
-                vectors[l::k] = u
+            for l in range(k):
+                size = len(range(l, dim, k))
+                assert np.allclose(u[l].T @ u[l], np.eye(u.shape[-1]), rtol=0, atol=1e-13)
+                # A pad carries no weight of a level and is its own unit eigenvector.
+                assert not np.any(u[l][size:, :size]) and not np.any(u[l][:size, size:])
+                vectors = np.zeros((dim, size), dtype=complex)
+                vectors[l::k] = u[l][:size, :size]
                 vectors *= system.phase[:, None]
-                assert np.allclose(u.T @ u, np.eye(w.size), rtol=0, atol=1e-13)
-                assert np.max(np.abs(dense @ vectors - vectors * w)) <= 1e-13 * scale
+                assert np.max(np.abs(dense @ vectors - vectors * w[l, :size])) <= 1e-13 * scale
 
     def test_signs_are_the_generalized_parity(self):
         system = _sectors.sector_eigensystem(seeded_params(0, 3, 20))
         assert np.array_equal(system.signs, generalized_parity_signs(3, 20))
+
+    @pytest.mark.parametrize("k,dim", [(1, 6), (2, 9), (3, 10), (4, 11)])
+    def test_sector_layout_is_the_fock_slicing(self, k, dim):
+        fock = np.arange(dim) + 1
+        sectors = _sectors.to_sectors(fock, k)
+        for l in range(k):
+            size = len(range(l, dim, k))
+            assert sectors[l, :size].tolist() == fock[l::k].tolist()
+            assert not sectors[l, size:].any()
+        assert np.array_equal(_sectors.fock_mask(k, dim), sectors > 0)
+        n = sectors.shape[1]
+        split = _sectors.sector_axes(np.arange(n * k), k)
+        assert all(split[l, i] == i * k + l for l in range(k) for i in range(n))
+
+    @pytest.mark.parametrize("solver,solve", [("eigh", "sector_eigensystem"),
+                                              ("eigvalsh", "sector_levels")])
+    def test_nonconvergence_raises_the_eigensolver_error(self, monkeypatch, solver, solve):
+        def explode(_):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, solver, explode)
+        with pytest.raises(EigenSolverError,
+                           match="^Hermitian eigensolver failed to converge: did not converge$"):
+            getattr(_sectors, solve)(seeded_params(1, 2, 9))

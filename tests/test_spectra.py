@@ -12,7 +12,7 @@ from krabi import _sectors, cli, linalg, model, parity, riccati, spectra
 from krabi.errors import ShapeError, SolutionError
 from krabi.linalg import eig_hermitian
 from krabi.model import ModelParams, build_blocks, build_full
-from krabi.parity import generalized_parity_signs
+from krabi.parity import generalized_parity, generalized_parity_signs
 from krabi.riccati import block_diagonalize
 from krabi.spectra import (
     EvolutionSpec,
@@ -74,18 +74,25 @@ def three_spans(dim):
 
 
 def whole_grid_states(params, state, dt, steps):
-    """Reference: the sector propagation of evolve over the whole grid in one
-    product per sector, written with fresh temporaries."""
+    """Reference: the sector propagation of evolve over the whole grid, one sector at
+    a time, each solved as its own unpadded tridiagonal, with fresh temporaries."""
     k, dim = params.k, params.dim
-    signs, phase, sectors = _sectors.sector_eigensystem(params)
+    signs = generalized_parity_signs(k, dim).astype(float)
+    phase = _sectors.gauge(params.g, k, dim)
+    diagonal, amplitudes = _sectors.band(params)
     upper, lower = state[:dim], state[dim:]
     times = np.arange(steps + 1, dtype=np.float64) * dt
     blocks = []
-    for frame, block in zip(((upper + signs * lower) / 2, (lower - signs * upper) / 2),
-                            sectors):
+    for sign, frame in zip((1.0, -1.0),
+                           ((upper + signs * lower) / 2, (lower - signs * upper) / 2)):
+        block_diagonal = diagonal + sign * params.alpha * signs
+        block_coupling = sign * (abs(params.g) * amplitudes)
         gauged = np.conj(phase) * frame
         trajectory = np.zeros((dim, times.size), dtype=complex)
-        for l, (w, u) in enumerate(block):
+        for l in range(k):
+            off = block_coupling[l::k]
+            w, u = np.linalg.eigh(np.diag(block_diagonal[l::k]) + np.diag(off, 1)
+                                  + np.diag(off, -1))
             coeff = u.T @ gauged[l::k]
             table = coeff[:, None] * np.exp(-1j * np.outer(w, times))
             trajectory[l::k] = (u @ table.view(np.float64)).view(np.complex128)
@@ -328,6 +335,48 @@ class TestEvolve:
         times = np.arange(steps + 1) * 0.03
         oracle = (v @ (np.exp(-1j * np.outer(w, times)) * (v.conj().T @ state)[:, None])).T
         assert np.max(np.linalg.norm(got - oracle, axis=1)) <= 1e-10
+
+    @pytest.mark.parametrize("k,dim", [(2, 9), (3, 10), (4, 11), (3, 47)])
+    def test_short_sector_and_ground_state_match_the_full_propagator(self, k, dim):
+        # No model puts its lowest level in a short sector: sector 1 holds Fock state 0
+        # and is never short. So start from the lowest level of the last sector, which
+        # is short when k does not divide dim, and from the ground state.
+        params = seeded_params(k + 30, k, dim)
+        l = k - 1
+        top, _ = block_diagonalize(build_blocks(params), generalized_parity(k, dim))
+        levels, vectors = eig_hermitian(top[l::k, l::k])
+        u = np.zeros(dim, dtype=complex)
+        u[l::k] = vectors[:, 0]
+        signs = generalized_parity_signs(k, dim)
+        eigenstate = np.concatenate([u, signs * u]) / math.sqrt(2)
+        spec = EvolutionSpec(initial_state=eigenstate, dt=0.3, steps=6)
+        times, states = evolve(params, spec)
+        for t, psi in zip(times, states):
+            assert np.linalg.norm(psi - full_propagated(params, eigenstate, t)) <= 1e-12
+            assert np.linalg.norm(psi - np.exp(-1j * levels[0] * t) * eigenstate) <= 1e-12
+        h = build_full(params)
+        w = eig_hermitian(h)[0]
+        psi = ground_state(params)
+        assert np.linalg.norm(h @ psi - w[0] * psi) <= 1e-12 * np.max(np.abs(w))
+        spec = EvolutionSpec(initial_state=psi, dt=0.3, steps=6)
+        for t, phi in zip(*evolve(params, spec)):
+            assert np.linalg.norm(phi - full_propagated(params, psi, t)) <= 1e-12
+
+    def test_phase_check_reads_real_levels_only(self):
+        # k = 2 does not divide dim = 5: the short sector's pad lies above every level,
+        # and here pad*t overflows float64 where every level's w*t does not.
+        params = ModelParams(alpha=0.4, omega=1.0, g=0.8, k=2, dim=5)
+        system = _sectors.sector_eigensystem(params)
+        held = _sectors.fock_mask(2, 5)
+        largest = float(np.max(np.abs(system.w[:, held])))
+        pad = float(np.min(system.w[:, ~held]))
+        t = 1.79e308 / largest
+        assert math.isfinite(largest * t) and pad * t == math.inf
+        _, states = evolve(params, EvolutionSpec(initial_state=self.basis_state(10, 3),
+                                                 dt=t / 2, steps=2))
+        assert np.all(np.isfinite(states.view(np.float64)))
+        with pytest.raises(ValueError, match="^the phase w\\*t overflows float64: "):
+            evolve(params, EvolutionSpec(initial_state=self.basis_state(10, 3), dt=t, steps=2))
 
     @pytest.mark.parametrize("bad", [2.0, 1j, -1.0 + 1e-15])
     def test_rejects_parity_that_is_not_a_sign_vector(self, monkeypatch, bad):
