@@ -3,8 +3,9 @@
 Everything here goes through the verified generalized parity: the full
 2*dim eigenproblem splits into the two decoupled blocks, each block is
 diagonalized on its own, and full-matrix diagonalization is kept only as
-the oracle the results are compared against (in the tests and in the
-spectrum deviation reported by the CLI).
+the oracle the results are compared against. The tests compare the sector
+levels with the dense blocks and the full spectrum; ``krabi verify --spectra``
+compares the dense decoupled blocks with the full spectrum.
 
 Each model's parity is verified exactly, on the band (:mod:`krabi._sectors`).
 sector_spectrum and evolution solve both blocks' 2k real tridiagonal sectors
@@ -71,8 +72,9 @@ class SweepSpec:
             raise ValueError(f"param must be one of {_SWEEPABLE}, got {self.param!r}")
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
-        if not np.isfinite(self.lo) or not np.isfinite(self.hi):
-            raise ValueError("sweep range must be finite")
+        # Not finite if lo or hi is not, or if the width overflows (silently, for floats).
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"sweep range hi - lo must be finite, got [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise ValueError(f"invalid range: lo = {self.lo} > hi = {self.hi}")
         object.__setattr__(self, "steps", _integer(self.steps, "steps"))

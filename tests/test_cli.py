@@ -31,6 +31,14 @@ def invoke(capsys, argv):
     return code, captured.out, captured.err
 
 
+def spectrum_text(params, levels):
+    """What `krabi spectrum` prints: its method line, the header, then the rows of
+    sector_spectrum, block "+" first."""
+    rows = [f"{b},{i},{w:.16e}" for b, block in zip("+-", sector_spectrum(params, levels))
+            for i, w in enumerate(block)]
+    return "\n".join(["# method = sector-tridiagonal", "block,level,eigenvalue", *rows]) + "\n"
+
+
 class TestComplexLiteral:
     @pytest.mark.parametrize("text,value", [
         ("1", 1 + 0j),
@@ -181,34 +189,24 @@ class TestParityTable:
 
 class TestSpectrumAndSweep:
     def test_spectrum_output(self, capsys):
-        # The deviation line compares the sector route with the dense full matrix.
-        for k, dim in ((1, 16), (2, 12), (3, 25), (4, 32)):
-            argv = ["spectrum", "--k", str(k), "--dim", str(dim), "--alpha=-0.3",
-                    "--omega=1.2", "--g=0.05+0.02i", "--levels", "3"]
-            code, out, _ = invoke(capsys, argv)
-            assert code == 0, k
-            lines = out.splitlines()
-            assert lines[0].startswith("# max_full_spectrum_deviation = ")
-            deviation = float(lines[0].split("=")[1])
-            params = ModelParams(alpha=-0.3, omega=1.2, g=0.05 + 0.02j, k=k, dim=dim)
-            full = eig_hermitian(build_full(params))[0]
-            assert deviation <= 1e-12 * (full[-1] - full[0]), k
-            assert lines[1] == "block,level,eigenvalue"
-            assert len(lines) == 2 + 6
+        # The README example: a method comment line, the header, then each block's lowest
+        # levels from the sector core. TestValuesOnly::test_spectrum covers k = 1...4.
+        code, out, err = invoke(capsys, ["spectrum", "--k", "2", "--dim", "64", "--alpha", "0.8",
+                                         "--omega", "1", "--g", "0.24+0.18i", "--levels", "5"])
+        assert (code, err) == (0, "")
+        params = ModelParams(alpha=0.8, omega=1.0, g=0.24 + 0.18j, k=2, dim=64)
+        assert out == spectrum_text(params, 5)
 
     def test_spectrum_bytes_match_separate_lowest_levels(self, capsys):
+        # The rows are the lowest levels of the complete block spectra, to the last digit.
         levels = 4
         code, out, _ = invoke(capsys, ["spectrum", *MODEL, "--levels", str(levels)])
         assert code == 0
         params = ModelParams(alpha=1.0, omega=1.0, g=0.5, k=2, dim=12)
-        w_top, w_bottom = sector_spectrum(params, levels)
-        merged = np.sort(np.concatenate(sector_spectrum(params, params.dim)))
-        full = eig_hermitian(build_full(params), vectors=False)[0]
-        deviation = float(np.max(np.abs(merged - full)))
-        expected = [f"# max_full_spectrum_deviation = {deviation:.16e}",
-                    "block,level,eigenvalue"]
-        expected += [f"+,{i},{w:.16e}" for i, w in enumerate(w_top)]
-        expected += [f"-,{i},{w:.16e}" for i, w in enumerate(w_bottom)]
+        complete = sector_spectrum(params, params.dim)
+        expected = ["# method = sector-tridiagonal", "block,level,eigenvalue"]
+        expected += [f"{b},{i},{w:.16e}" for b, w_all in zip("+-", complete)
+                     for i, w in enumerate(w_all[:levels])]
         assert out == "\n".join(expected) + "\n"
 
     def test_spectrum_too_many_levels(self, capsys):
@@ -253,6 +251,13 @@ class TestSpectrumAndSweep:
                                        "--hi", "0", "--steps", "3", "--levels", "2"])
         assert code == 2
         assert err.startswith("error:")
+
+    def test_sweep_range_overflowing_float64_is_one_error_line(self, capsys):
+        argv = ["sweep", "--k", "1", "--dim", "8", "--alpha", "0.4", "--omega", "1", "--g", "0.1",
+                "--param", "alpha", "--lo", "-1.7e308", "--hi", "1.7e308", "--steps", "3",
+                "--levels", "2"]
+        assert invoke(capsys, argv) == (2, "", "error: sweep range hi - lo must be finite, "
+                                        "got [-1.7e+308, 1.7e+308]\n")
 
 
 class TestEvolve:
@@ -426,8 +431,9 @@ def no_eigh(monkeypatch):
 
 
 class TestValuesOnly:
-    """sweep, spectrum and verify --spectra solve for eigenvalues alone, and agree
-    with the full eigendecomposition to 1e-12 of the largest |level|."""
+    """sweep, spectrum and verify --spectra solve for eigenvalues alone. sweep and
+    verify --spectra agree with the full eigendecomposition to 1e-12 of the largest
+    |level|; spectrum prints sector_spectrum's levels, and builds no dense matrix."""
 
     @pytest.mark.parametrize("k,dim,alpha,g", VALUES_ONLY_MODELS)
     def test_sweep(self, capsys, monkeypatch, k, dim, alpha, g):
@@ -447,19 +453,23 @@ class TestValuesOnly:
                 want = eig_hermitian(block)[0]
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("k,dim,alpha,g", VALUES_ONLY_MODELS)
+    @pytest.mark.parametrize("k,dim,alpha,g", VALUES_ONLY_MODELS + [
+        (k, dim, -0.3, 0.05 + 0.02j) for k, dim in ((1, 16), (2, 12), (3, 25), (4, 32))])
     def test_spectrum(self, capsys, monkeypatch, k, dim, alpha, g):
+        # spectrum solves the sector tridiagonals alone: no dense matrix, no eigenvectors.
+        def dense(*_args, **_kwargs):
+            raise AssertionError("dense path called during krabi spectrum")
+
+        for module in (krabi, model, riccati, linalg, spectra, cli, _sectors):
+            for name in ("build_full", "build_blocks", "eig_hermitian"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, dense)
         no_eigh(monkeypatch)
-        code, out, _ = invoke(capsys, ["spectrum", *model_argv(k, dim, alpha, g),
-                                       "--levels", "2"])
+        code, out, err = invoke(capsys, ["spectrum", *model_argv(k, dim, alpha, g),
+                                         "--levels", "2"])
         monkeypatch.undo()
-        assert code == 0
-        params = ModelParams(alpha=alpha, omega=1.1, g=g, k=k, dim=dim)
-        full = eig_hermitian(build_full(params))[0]
-        merged = np.sort(np.concatenate(sector_spectrum(params, dim)))
-        deviation = float(out.splitlines()[0].split("=")[1])
-        want = float(np.max(np.abs(merged - full)))
-        assert abs(deviation - want) <= 1e-12 * np.max(np.abs(full))
+        assert (code, err) == (0, "")
+        assert out == spectrum_text(ModelParams(alpha=alpha, omega=1.1, g=g, k=k, dim=dim), 2)
 
     @pytest.mark.parametrize("k,dim,alpha,g", VALUES_ONLY_MODELS)
     def test_verify_spectra(self, capsys, monkeypatch, k, dim, alpha, g):
@@ -486,11 +496,11 @@ class TestOverflow:
                                          "--g", scale, "--levels", "2"])
         assert (code, err) == (0, "")
         params = ModelParams(alpha=1.0, omega=float(scale), g=float(scale), k=1, dim=4)
-        lines = out.splitlines()
-        expected = [f"{b},{i},{w:.16e}" for b, levels in zip("+-", sector_spectrum(params, 2))
-                    for i, w in enumerate(levels)]
-        assert lines[2:] == expected
-        assert float(lines[0].split("=")[1]) <= 1e-12 * float(scale)
+        assert out == spectrum_text(params, 2)
+        # The sector levels at this scale agree with the dense full spectrum.
+        full = eig_hermitian(build_full(params), vectors=False)[0]
+        merged = np.sort(np.concatenate(sector_spectrum(params, 4)))
+        assert np.max(np.abs(merged - full)) <= 1e-12 * float(scale)
         code, out, err = invoke(capsys, ["verify", *self.HUGE, "--omega", scale, "--g", scale,
                                          "--tol", "0", "--spectra"])
         report = json.loads(out)
@@ -522,6 +532,34 @@ class TestOverflow:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("argv,target", [
+        (["verify", *MODEL, "--spectra"], (riccati, "eig_hermitian")),
+        (["verify", *MODEL, "--dump", "residual.txt"], (cli, "build_blocks")),
+        (["spectrum", *MODEL, "--levels", "2"], (_sectors, "_eigh")),
+        (["evolve", *MODEL, "--t-max", "1", "--steps", "2"], (_sectors, "_eigh")),
+    ], ids=["verify-spectra", "verify-dump", "spectrum", "evolve"])
+    def test_refused_allocation_is_one_error_line(self, capsys, monkeypatch, tmp_path, argv,
+                                                  target):
+        # Stands in for a request too large for memory; nothing large is allocated.
+        def refuse(*_args, **_kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array with shape "
+                              "(1048576, 1048576) and data type complex128")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(*target, refuse)
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: Unable to allocate 8.00 TiB for an array with shape "
+                       "(1048576, 1048576) and data type complex128\n")
+
+    def test_bare_memory_error_still_gives_a_reason(self, capsys, monkeypatch):
+        # The interpreter's own MemoryError carries no text.
+        def refuse(*_args, **_kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(riccati, "eig_hermitian", refuse)
+        assert invoke(capsys, ["verify", *MODEL, "--spectra"]) == (2, "", "error: MemoryError\n")
+
     def test_zero_k_rejected(self, capsys):
         code, _, err = invoke(capsys, ["verify", "--k", "0", "--dim", "4", "--alpha", "1",
                                        "--omega", "1", "--g", "0.5"])

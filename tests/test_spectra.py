@@ -255,6 +255,13 @@ class TestSweep:
                              "generalized_parity"), "sweep")
         assert sweep_csv(sweep(spec)).encode() == expected
 
+    @pytest.mark.parametrize("lo,hi", [(-1.7e308, 1.7e308), (-1e308, 1e308),
+                                       (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
+    def test_range_with_non_finite_width_rejected(self, lo, hi):
+        # np.linspace over such a range warns of overflow and yields nan grid values.
+        with pytest.raises(ValueError, match="hi - lo must be finite"):
+            SweepSpec(base=self.BASE, param="alpha", lo=lo, hi=hi, steps=3, levels=2)
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
             SweepSpec(base=self.BASE, param="g", lo=1.0, hi=0.0, steps=2, levels=1)
