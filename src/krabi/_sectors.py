@@ -15,9 +15,10 @@ diagonal unitary D = diag(exp(i*arg(g)*p/k)) takes the phase off g: the band
 of conj(D) W D is the real |g|*amp_p. So each block is D times a direct sum
 of k real symmetric tridiagonals times conj(D), and its eigenvectors are D
 times real vectors supported on one sector. Both blocks' sectors are held
-as one (2, k, n) stack, n = ceil(dim/k), and solved in one call; when k does
-not divide dim, each short sector ends in a pad, a decoupled state whose
-level lies above the block's spectrum and is dropped.
+as one (2, k, n) stack, n = ceil(dim/k), laid out by :func:`sector_axes`
+(:mod:`krabi.parity` keeps the index form p = k*n + l - 1), and solved in
+one call; when k does not divide dim, each short sector ends in a pad, a
+decoupled state whose level lies above the block's spectrum and is dropped.
 
 Verification runs on the band as well, in O(dim): the parity's three defects
 are computed there and judged by
@@ -105,7 +106,7 @@ def gauge(g: complex, k: int, dim: int) -> np.ndarray:
 def sector_axes(x: np.ndarray, k: int, axis: int = -1) -> np.ndarray:
     """View of ``x`` with its Fock axis, of length k*n, split into (sector l, level i).
 
-    Fock state p = i*k + l is entry (l, i): the package's one Fock <-> sector layout.
+    Fock state p = i*k + l is entry (l, i): the array form of parity.decompose's layout.
     """
     axis %= x.ndim
     return x.reshape(x.shape[:axis] + (-1, k) + x.shape[axis + 1 :]).swapaxes(axis, axis + 1)

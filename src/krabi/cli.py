@@ -10,10 +10,10 @@ in scientific notation, so identical invocations produce byte-identical
 output. A flag may take a negative number after a space (--g -0.1+0.2i,
 --alpha -1e-3, --tol -inf). Only verify takes --tol; spectrum, sweep and
 evolve verify the parity at tolerance 0. Verdicts follow the rule of the
-library's verify_involution_solution, and --levels must lie in 1..dim, as
-sector_spectrum's m must. spectrum solves the sector tridiagonals alone and
-says so on its first line; verify --spectra compares the dense blocks with
-the dense full spectrum and never runs the sector route.
+library's verify_involution_solution; --levels must lie in 1..dim, which
+sector_spectrum and SweepSpec alone check. spectrum solves the sector
+tridiagonals alone and says so on its first line; verify --spectra compares
+the dense blocks with the dense full spectrum and never runs the sector route.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from ._sectors import real_signs, verify_band
-from .errors import HermiticityError, ShapeError, SolutionError, _levels
+from .errors import HermiticityError, ShapeError, SolutionError
 from .linalg import dump_matrix, load_vector
 from .model import ModelParams, build_blocks
 from .parity import bosonic_parity_signs, generalized_parity_signs, two_photon_parity_signs
@@ -75,8 +75,8 @@ def _add_model_args(sub, with_levels=False):
     sub.add_argument("--g", type=parse_complex, required=True,
                      help="coupling, literal a, a+bi or a-bi")
     if with_levels:
-        sub.add_argument("--levels", type=_positive_int, required=True,
-                         help="lowest levels per block")
+        sub.add_argument("--levels", type=int, required=True,
+                         help="lowest levels per block, 1..dim")
     sub.add_argument("--out", default=None, help="write output to FILE instead of stdout")
 
 
@@ -174,8 +174,7 @@ def _cmd_parity_table(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    params = _params_from(args)
-    w_top, w_bottom = sector_spectrum(params, _levels(args.levels, params.dim))
+    w_top, w_bottom = sector_spectrum(_params_from(args), args.levels)
     lines = ["# method = sector-tridiagonal", "block,level,eigenvalue"]
     for i, w in enumerate(w_top):
         lines.append(f"+,{i},{w:.16e}")
@@ -197,8 +196,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_evolve(args) -> int:
     params = _params_from(args)
     if not (np.isfinite(args.t_max) and args.t_max > 0):
-        print(f"error: t-max must be positive and finite, got {args.t_max}", file=sys.stderr)
-        return 2
+        raise ValueError(f"t-max must be positive and finite, got {args.t_max}")
     state = None if args.state == "ground" else load_vector(args.state)
     _emit(_evolve_csv(params, args.t_max / args.steps, args.steps, state), args.out)
     return 0

@@ -44,9 +44,9 @@ def _k_dim(k, dim) -> tuple[int, int]:
     return k, dim
 
 
-def _levels(levels, dim: int, name: str = "levels") -> int:
+def _levels(levels, dim: int) -> int:
     """A count of lowest levels within 1..dim; ShapeError outside it."""
-    levels = _integer(levels, name)
+    levels = _integer(levels, "levels")
     if not 1 <= levels <= dim:
-        raise ShapeError(f"{name} must satisfy 1 <= {name} <= dim = {dim}, got {levels}")
+        raise ShapeError(f"levels must satisfy 1 <= levels <= dim = {dim}, got {levels}")
     return levels

@@ -13,7 +13,9 @@ on a given platform. Callers that read only eigenvalues pass
 through :func:`_norm`, which stays finite where the sum of squares of
 finite entries overflows but the norm does not. :func:`_checked_hermitian`
 holds the package's one Hermiticity rule; the eigensolver and
-:class:`krabi.model.BlockOperator` both apply it.
+:class:`krabi.model.BlockOperator` both apply it. One writer and one
+reader serve matrix and vector files: a round trip keeps every bit of a
+finite value, and a malformed file is a ShapeError naming its kind and path.
 """
 
 from __future__ import annotations
@@ -109,55 +111,56 @@ def _eigh(a, vectors: bool):
 
 # -- plain-text serialization ------------------------------------------------
 #
-# Matrix file: first line the dimension, then dim*dim lines "re im" in
-# row-major order. Vector file: first line the length, then one "re im"
-# line per component. 17 significant digits, scientific notation.
-
-_FLT = "{:.16e}"
+# A count line n, then one "re im" line per value: the n*n entries of a
+# matrix in row-major order, or the n components of a vector. "%.16e" keeps
+# the 17 significant digits that parse back to the same double.
 
 
-def dump_matrix(a, path: str) -> None:
+def _dump(a: np.ndarray, path) -> None:
+    """Write the C-contiguous complex128 ``a``: the count ``len(a)``, then its entries."""
+    pairs = a.reshape(-1, 1).view(np.float64).tolist()
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("".join([f"{len(a)}\n", *(f"{re:.16e} {im:.16e}\n" for re, im in pairs)]))
+
+
+def _load(path, kind: str) -> np.ndarray:
+    """The array in a ``kind`` file, (n, n) for "matrix" or (n,) for "vector"; ShapeError naming
+    the kind and path unless it is ASCII text: a count n >= 1, then two floats per entry."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        tokens = data.decode("ascii").split()
+        if not tokens:
+            raise ValueError("the file is empty")
+        n = int(tokens[0])
+        shape = (n, n) if kind == "matrix" else (n,)
+        if n < 1 or len(tokens) != 1 + 2 * math.prod(shape):
+            raise ValueError(f"the count {n} is not positive or does not match the "
+                             f"{len(tokens) - 1} values")
+        values = np.array(tokens[1:], dtype=np.float64)
+    except ValueError as exc:
+        raise ShapeError(f"{kind} file {str(path)!r} malformed: {exc}") from None
+    return values.view(np.complex128).reshape(shape)
+
+
+def dump_matrix(a, path) -> None:
     """Write a square complex matrix to ``path`` in the plain-text format."""
-    a = as_square_complex(a, "a")
-    dim = a.shape[0]
-    lines = [str(dim)]
-    flat = a.reshape(-1)
-    lines.extend(f"{_FLT.format(z.real)} {_FLT.format(z.imag)}" for z in flat)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _dump(as_square_complex(a, "a"), path)
 
 
-def load_matrix(path: str) -> np.ndarray:
-    """Read a matrix written by :func:`dump_matrix`."""
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
-    if not tokens:
-        raise ShapeError(f"matrix file {path!r} is empty")
-    dim = int(tokens[0])
-    if dim < 1 or len(tokens) != 1 + 2 * dim * dim:
-        raise ShapeError(f"matrix file {path!r} malformed: expected {2 * dim * dim} values")
-    vals = np.array(tokens[1:], dtype=np.float64)
-    flat = vals[0::2] + 1j * vals[1::2]
-    return as_square_complex(flat.reshape(dim, dim), "loaded matrix")
+def load_matrix(path) -> np.ndarray:
+    """Read a matrix written by :func:`dump_matrix`; ShapeError if malformed or not finite."""
+    return as_square_complex(_load(path, "matrix"), "loaded matrix")
 
 
-def dump_vector(v, path: str) -> None:
-    """Write a complex vector to ``path``: length line, then "re im" lines."""
+def dump_vector(v, path) -> None:
+    """Write a nonempty complex vector, flattened, to ``path`` in the plain-text format."""
     v = np.ascontiguousarray(np.asarray(v), dtype=np.complex128).reshape(-1)
-    lines = [str(v.size)]
-    lines.extend(f"{_FLT.format(z.real)} {_FLT.format(z.imag)}" for z in v)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    if v.size == 0:
+        raise ShapeError("cannot dump an empty vector")
+    _dump(v, path)
 
 
-def load_vector(path: str) -> np.ndarray:
-    """Read a vector written by :func:`dump_vector`."""
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
-    if not tokens:
-        raise ShapeError(f"vector file {path!r} is empty")
-    n = int(tokens[0])
-    if n < 1 or len(tokens) != 1 + 2 * n:
-        raise ShapeError(f"vector file {path!r} malformed: expected {2 * n} values")
-    vals = np.array(tokens[1:], dtype=np.float64)
-    return np.ascontiguousarray(vals[0::2] + 1j * vals[1::2])
+def load_vector(path) -> np.ndarray:
+    """Read a vector written by :func:`dump_vector`; ShapeError if malformed."""
+    return _load(path, "vector")

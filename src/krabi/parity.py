@@ -88,8 +88,9 @@ class RestrictedOps:
     """Number and k-step lowering operators restricted to each sector.
 
     On sector l the number operator is diagonal with integer entries
-    k*n + l - 1, kept here exactly as ``number_diagonals[l-1]``. The
-    k-step lowering operator has the single nonzero band
+    k*n + l - 1, the sector's Fock indices: ``number_diagonals[l-1]`` is
+    the decomposition's ``members[l-1]``. The k-step lowering operator has
+    the single nonzero band
 
         <n-1, l| a^k |n, l> = sqrt((k*n + l - 1)! / (k*(n-1) + l - 1)!)
 
@@ -134,20 +135,17 @@ def restricted_ops(sd: SectorDecomposition) -> RestrictedOps:
     """Formula-built per-sector number and k-step lowering operators."""
     k = sd.k
     band = _lowering_band(k, sd.dim)
-    number_diagonals = []
     lowering = []
     for l in range(1, k + 1):
         size = sd.sector_dims[l - 1]
-        levels = np.arange(size, dtype=np.int64)
-        number_diagonals.append(k * levels + (l - 1))
         a_l = np.zeros((size, size), dtype=np.complex128)
-        a_l[levels[:-1], levels[1:]] = band[l - 1 :: k]
+        a_l[np.arange(size - 1), np.arange(1, size)] = band[l - 1 :: k]
         lowering.append(a_l)
     return RestrictedOps(
         k=k,
         dim=sd.dim,
         sector_dims=sd.sector_dims,
-        number_diagonals=tuple(number_diagonals),
+        number_diagonals=sd.members,
         lowering_ops=tuple(lowering),
     )
 

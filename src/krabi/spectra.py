@@ -131,19 +131,19 @@ def _verified_blocks(params: ModelParams):
     return _decoupled_blocks(build_blocks(params), np.diag(signs.astype(np.complex128)))
 
 
-def sector_spectrum(params: ModelParams, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest ``m`` eigenvalues of each decoupled block, ascending.
+def sector_spectrum(params: ModelParams, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``levels`` eigenvalues of each decoupled block, ascending.
 
     The sorted union over all levels of both blocks reproduces the
-    spectrum of the full 2*dim Hamiltonian; with ``m`` < dim the merge of
+    spectrum of the full 2*dim Hamiltonian; with ``levels`` < dim the merge of
     the two returned lists still reproduces the bottom of it. The parity is
     verified on the band at tolerance 0 and each block is solved as its k
     real sector tridiagonals (:func:`krabi._sectors.sector_levels`); no dense
     matrix is built. A parity that fails raises SolutionError.
     """
-    m = _levels(m, params.dim, "m")
+    levels = _levels(levels, params.dim)
     top, bottom = sector_levels(params)
-    return top[:m].copy(), bottom[:m].copy()
+    return top[:levels].copy(), bottom[:levels].copy()
 
 
 def sweep(spec: SweepSpec) -> list:
@@ -300,13 +300,13 @@ def trajectory_chunks(times, states) -> Iterator[str]:
     most ``_CHUNK_VALUES`` values, at least one step) is laid out as a
     fixed-width matrix of uint32 words, one row per line with zero-padded
     fields, and compacted once. Floats are formatted by a vectorized kernel
-    whose bytes equal ``'%.16e' % x``. Raises ShapeError unless there is one
-    time per state.
+    whose bytes equal ``'%.16e' % x``. Raises ShapeError unless ``states`` is
+    a 2-D (times x components) array with one row per time.
     """
     states = np.ascontiguousarray(states, dtype=np.complex128)
     times = np.asarray(times, dtype=np.float64)
-    if len(times) != len(states):
-        raise ShapeError(f"got {len(times)} times for {len(states)} states")
+    if states.ndim != 2 or len(times) != len(states):
+        raise ShapeError(f"got {len(times)} times for states of shape {states.shape}")
     return _csv_chunks(times, lambda start, stop: states[start:stop], states.shape[-1])
 
 

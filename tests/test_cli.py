@@ -21,6 +21,7 @@ from krabi.riccati import VerificationReport
 from krabi import spectra
 from krabi.spectra import (EvolutionSpec, SweepSpec, evolve, ground_state, sector_spectrum,
                            trajectory_csv)
+from test_linalg import MALFORMED
 
 MODEL = ["--k", "2", "--dim", "12", "--alpha", "1", "--omega", "1", "--g", "0.5"]
 
@@ -288,6 +289,29 @@ class TestEvolve:
         assert code == 0
         first_row = out.splitlines()[1].split(",")
         assert float(first_row[2]) == 1.0 and float(first_row[3]) == 0.0
+
+    def test_row_zero_is_the_state_file_text(self, capsys, tmp_path):
+        state = np.random.default_rng(12).normal(size=(12, 2))
+        state[::3, 0] = state[1::3, 1] = -0.0
+        state[2] = [1e-310, -0.0]  # a subnormal, after the division too
+        state = (state / np.linalg.norm(state)).view(np.complex128).ravel()
+        path = tmp_path / "state.txt"
+        dump_vector(state, path)
+        code, out, _ = invoke(capsys, self.ARGS[:-4] + ["--t-max", "0.5", "--steps", "2",
+                                                        "--state", str(path)])
+        assert code == 0
+        row_zero = [line.split(",", 2)[2] for line in out.splitlines()[1:13]]
+        assert row_zero == [line.replace(" ", ",") for line in path.read_text().splitlines()[1:]]
+        assert "-0.0000000000000000e+00" in row_zero[0]
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_state_file_is_one_error_line(self, capsys, tmp_path, case):
+        path = tmp_path / "state.txt"
+        path.write_bytes(MALFORMED[case])
+        code, out, err = invoke(capsys, self.ARGS + ["--state", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: vector file {str(path)!r} malformed: ")
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
 
     def test_stdout_and_out_file_bytes_match(self, capsys, tmp_path):
         path = tmp_path / "trajectory.csv"
@@ -602,6 +626,13 @@ class TestErrorMessages:
          "levels must satisfy 1 <= levels <= dim = 12, got 13"),
         (["sweep", *MODEL, "--levels", "13", "--param", "g", "--lo", "0", "--hi", "0.4",
           "--steps", "2"], "levels must satisfy 1 <= levels <= dim = 12, got 13"),
+        # The library checks --levels; argparse only reads an int.
+        (["spectrum", *MODEL, "--levels", "0"],
+         "levels must satisfy 1 <= levels <= dim = 12, got 0"),
+        (["spectrum", *MODEL, "--levels", "two"], "argument --levels: invalid int value: 'two'"),
+        # --steps 0 would divide t_max by zero.
+        (["evolve", *MODEL, "--t-max", "1", "--steps", "0"],
+         "argument --steps: expected a positive integer, got 0"),
     ])
     def test_range_errors_keep_their_text(self, capsys, argv, line):
         assert invoke(capsys, argv) == (2, "", f"error: {line}\n")

@@ -82,18 +82,13 @@ def test_specs_store_python_ints():
     assert type(evolution.steps) is int
 
 
-# name -> (the argument's name in the message, function of that argument).
-LEVEL_COUNTS = {
-    "SweepSpec.levels": ("levels", lambda x: SweepSpec(base=BASE, param="g", lo=0.0, hi=0.1,
-                                                       steps=2, levels=x)),
-    "sector_spectrum.m": ("m", lambda x: sector_spectrum(BASE, x)),
-}
+# Both count levels and name the count "levels" in their message.
+LEVEL_COUNTS = ["SweepSpec.levels", "sector_spectrum.m"]
 
 
 @pytest.mark.parametrize("value", [0, 9])
-@pytest.mark.parametrize("name", list(LEVEL_COUNTS))
+@pytest.mark.parametrize("name", LEVEL_COUNTS)
 def test_level_count_outside_one_to_dim_is_a_shape_error(name, value):
-    arg, call = LEVEL_COUNTS[name]
-    with pytest.raises(ShapeError, match=rf"^{arg} must satisfy 1 <= {arg} <= dim = 8, "
+    with pytest.raises(ShapeError, match=rf"^levels must satisfy 1 <= levels <= dim = 8, "
                                          rf"got {value}$"):
-        call(value)
+        ENTRY_POINTS[name](value)

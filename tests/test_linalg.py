@@ -1,7 +1,13 @@
-"""Contracts of the matrix validation and the Hermitian eigensolver."""
+"""Contracts of the matrix validation, the Hermitian eigensolver and the file format."""
+
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krabi import linalg
 from krabi.errors import HermiticityError, ShapeError
@@ -122,13 +128,70 @@ class TestNorm:
         assert linalg._norm(np.full(4, 1e308)) == np.inf
 
 
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def per_line_text(a):
+    """The file text of ``a``, one f-string per line: the reference for the writer's bytes."""
+    lines = [str(len(a))] + [f"{z.real:.16e} {z.imag:.16e}" for z in np.ravel(a)]
+    return "\n".join(lines) + "\n"
+
+
+#: kind -> (writer, reader, shape for the count n).
+KINDS = {
+    "matrix": (linalg.dump_matrix, linalg.load_matrix, lambda n: (n, n)),
+    "vector": (linalg.dump_vector, linalg.load_vector, lambda n: (n,)),
+}
+#: Finite doubles, with the signed zeros, subnormals and ends of the range drawn often.
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022 - 2.0**-1074, 1.7e308, -1.7e308, -np.finfo(float).max])
+
+#: Files that are malformed as a matrix and as a vector alike.
+MALFORMED = {
+    "empty": b"",
+    "blank": b" \n\n",
+    "count-not-a-number": b"one\n1 0\n",
+    "count-zero": b"0\n",
+    "count-negative": b"-1\n1 0\n",
+    "count-float": b"1.0\n1 0\n",
+    "count-too-long": b"9" * 5000 + b"\n1 0\n",
+    "too-few-values": b"2\n1 0\n",
+    "odd-value-count": b"1\n1 0 0\n",
+    "non-numeric": b"1\n1 abc\n",
+    "hexadecimal": b"1\n0x1 0\n",
+    "non-ascii-digit": "1\n\uff11 0\n".encode(),
+    "not-utf8": b"1\n1 0\xff\n",
+}
+
+
 class TestSerialization:
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(list(KINDS)), n=st.integers(1, 4), data=st.data())
+    def test_round_trip_is_bit_exact(self, kind, n, data):
+        dump, load, shape = KINDS[kind]
+        size = 2 * int(np.prod(shape(n)))
+        parts = data.draw(st.lists(FINITE, min_size=size, max_size=size))
+        a = np.array(parts).view(np.complex128).reshape(shape(n))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "file.txt")
+            dump(a, path)
+            with open(path, encoding="ascii") as fh:
+                text = fh.read()
+            assert text == per_line_text(a)
+            back = load(path)
+            assert back.shape == a.shape and np.array_equal(bits(back), bits(a))
+            dump(back, path)
+            with open(path, encoding="ascii") as fh:
+                assert fh.read() == text
+
     def test_matrix_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
         m = random_matrix(5, rng)
+        m[0, 0] = complex(-0.0, -0.0)
         path = str(tmp_path / "m.txt")
         linalg.dump_matrix(m, path)
-        assert np.allclose(linalg.load_matrix(path), m, rtol=0, atol=1e-15)
+        assert np.array_equal(bits(linalg.load_matrix(path)), bits(m))
 
     def test_matrix_format_header(self, tmp_path):
         path = str(tmp_path / "m.txt")
@@ -141,9 +204,35 @@ class TestSerialization:
     def test_vector_roundtrip(self, tmp_path):
         rng = np.random.default_rng(10)
         v = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        v[1:3] = [complex(-0.0, 1.0), complex(0.0, -0.0)]
         path = str(tmp_path / "v.txt")
         linalg.dump_vector(v, path)
-        assert np.allclose(linalg.load_vector(path), v, rtol=0, atol=1e-15)
+        assert np.array_equal(bits(linalg.load_vector(path)), bits(v))
+
+    def test_non_finite_values_keep_their_text(self, tmp_path):
+        # The reader leaves finiteness to the caller: load_matrix refuses it, a state's spec too.
+        v = np.array([complex(np.nan, np.inf), complex(-np.inf, 0.0)])
+        path = tmp_path / "v.txt"
+        linalg.dump_vector(v, path)
+        assert path.read_text() == per_line_text(v)
+        assert np.array_equal(bits(linalg.load_vector(path)), bits(v))
+        linalg.dump_vector(v[:1].reshape(1, 1), path)
+        with pytest.raises(ShapeError, match="^loaded matrix contains non-finite entries$"):
+            linalg.load_matrix(path)
+
+    def test_empty_vector_is_not_written(self, tmp_path):
+        with pytest.raises(ShapeError, match="^cannot dump an empty vector$"):
+            linalg.dump_vector(np.zeros(0), tmp_path / "v.txt")
+        assert not (tmp_path / "v.txt").exists()
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_file_is_a_shape_error_naming_it(self, tmp_path, kind, case):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(MALFORMED[case])
+        with pytest.raises(ShapeError, match=rf"^{kind} file {re.escape(repr(str(path)))} "
+                                             r"malformed: \S"):
+            KINDS[kind][1](path)
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -567,8 +567,11 @@ class TestTrajectoryCsv:
         assert len(chunks) - 1 == -(-steps // per_chunk)
 
     @pytest.mark.parametrize("times,states", [(TIMES[:2], EXTREME), (TIMES, EXTREME[:1]),
-                                              (TIMES[:0], EXTREME)],
-                             ids=["short-times", "short-states", "no-times"])
+                                              (TIMES[:0], EXTREME),
+                                              (np.arange(3.0), np.ones(3, complex)),
+                                              (TIMES, EXTREME[..., None])],
+                             ids=["short-times", "short-states", "no-times", "1-D-states",
+                                  "3-D-states"])
     def test_times_and_states_of_unequal_length_rejected(self, times, states):
         with pytest.raises(ShapeError, match="times"):
             trajectory_csv(times, states)
