@@ -35,7 +35,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SolutionError
 from .linalg import _eigh
 from .model import ModelParams
 from .parity import _lowering_band, generalized_parity_signs
@@ -48,24 +47,15 @@ def band(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
             _lowering_band(params.k, params.dim))
 
 
-def real_signs(signs) -> np.ndarray:
-    """The parity's diagonal as float64, or SolutionError unless it is real +-1.
-
-    A diagonal parity is a Hermitian involution exactly when its diagonal is
-    real +-1: this is the O(dim) form of similarity_transform's check.
-    """
-    signs = np.asarray(signs)
-    real = signs.real.astype(np.float64)
-    if np.any(signs.imag != 0) or np.any(np.abs(real) != 1):
-        raise SolutionError("parity diagonal is not a real +-1 vector")
-    return real
-
-
 def verify_band(params: ModelParams, signs: np.ndarray, tol: float) -> VerificationReport:
     """:func:`verify_involution_solution` of the diagonal parity ``diag(signs)``.
 
-    For real signs s, the residual alpha*x^2 + x h_plus - h_minus x - alpha*I
-    is alpha*(s_p^2 - 1) on the diagonal and the intertwining defect
+    The involution defect ||s*s - 1|| is exactly 0 only when every entry of s,
+    real or complex, is +-1, or +-1 plus an imaginary part so small (about
+    1e-163) that the squares of the defects underflow; so at tolerance 0 this
+    is the sign-vector check. For real signs s, the residual
+    alpha*x^2 + x h_plus - h_minus x - alpha*I is alpha*(s_p^2 - 1) on the
+    diagonal and the intertwining defect
     conj(g)*amp_p*(s_p + s_(p+k)) at (p, p+k), with its conjugate at (p+k, p).
     h_plus and h_minus share the norm sqrt(||omega*p||^2 + 2*||g*amp||^2).
     omega and |g| multiply norms taken without them, so no sum of squares
@@ -128,9 +118,10 @@ def fock_mask(k: int, dim: int) -> np.ndarray:
 
 
 def _verified_signs(params: ModelParams) -> np.ndarray:
-    """The generalized parity's signs, verified on the band at tolerance 0; SolutionError,
-    as :func:`krabi.riccati.block_diagonalize` raises, when they fail."""
-    signs = real_signs(generalized_parity_signs(params.k, params.dim))
+    """The generalized parity's integer signs, verified on the band at tolerance 0;
+    SolutionError with the verdict's defects, as :func:`krabi.riccati.block_diagonalize`
+    raises, when they fail, a vector that is not +-1 included."""
+    signs = generalized_parity_signs(params.k, params.dim)
     _require_passed(verify_band(params, signs, 0.0))
     return signs
 

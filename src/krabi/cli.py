@@ -10,10 +10,12 @@ in scientific notation, so identical invocations produce byte-identical
 output. A flag may take a negative number after a space (--g -0.1+0.2i,
 --alpha -1e-3, --tol -inf). Only verify takes --tol; spectrum, sweep and
 evolve verify the parity at tolerance 0. Verdicts follow the rule of the
-library's verify_involution_solution; --levels must lie in 1..dim, which
-sector_spectrum and SweepSpec alone check. spectrum solves the sector
-tridiagonals alone and says so on its first line; verify --spectra compares
-the dense blocks with the dense full spectrum and never runs the sector route.
+library's verify_involution_solution. --levels and --steps are read as plain
+ints and judged by the library's one check per rule (1 <= levels <= dim; at
+least 2 sweep steps, at least 1 evolve step), so each error has the library's
+text. spectrum solves the sector tridiagonals alone and says so on its first
+line; verify --spectra compares the dense blocks with the dense full spectrum
+and never runs the sector route.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import sys
 
 import numpy as np
 
-from ._sectors import real_signs, verify_band
-from .errors import HermiticityError, ShapeError, SolutionError
+from ._sectors import verify_band
+from .errors import _steps
 from .linalg import dump_matrix, load_vector
 from .model import ModelParams, build_blocks
 from .parity import bosonic_parity_signs, generalized_parity_signs, two_photon_parity_signs
@@ -47,16 +49,6 @@ def parse_complex(text: str) -> complex:
     re_part = float(match.group("re"))
     im_part = float(match.group("im")) if match.group("im") else 0.0
     return complex(re_part, im_part)
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,13 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", choices=("g", "alpha", "omega"), required=True)
     p_sweep.add_argument("--lo", type=float, required=True)
     p_sweep.add_argument("--hi", type=float, required=True)
-    p_sweep.add_argument("--steps", type=_positive_int, required=True)
+    p_sweep.add_argument("--steps", type=int, required=True)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_evolve = subs.add_parser("evolve", help="evolve a state through the decoupled blocks")
     _add_model_args(p_evolve)
     p_evolve.add_argument("--t-max", type=float, required=True, dest="t_max")
-    p_evolve.add_argument("--steps", type=_positive_int, required=True)
+    p_evolve.add_argument("--steps", type=int, required=True)
     p_evolve.add_argument("--state", default="ground",
                           help='"ground" for the full ground state, or a vector file path')
     p_evolve.set_defaults(func=_cmd_evolve)
@@ -146,7 +138,7 @@ def _cmd_verify(args) -> int:
         signs = bosonic_parity_signs(params.dim)
     else:
         signs = two_photon_parity_signs(params.dim)
-    report = verify_band(params, real_signs(signs), args.tol)
+    report = verify_band(params, signs, args.tol)
     compare = args.spectra and report.passed
     if compare or args.dump is not None:
         blocks, x = build_blocks(params), np.diag(signs.astype(np.complex128))
@@ -197,8 +189,9 @@ def _cmd_evolve(args) -> int:
     params = _params_from(args)
     if not (np.isfinite(args.t_max) and args.t_max > 0):
         raise ValueError(f"t-max must be positive and finite, got {args.t_max}")
+    steps = _steps(args.steps, 1)
     state = None if args.state == "ground" else load_vector(args.state)
-    _emit(_evolve_csv(params, args.t_max / args.steps, args.steps, state), args.out)
+    _emit(_evolve_csv(params, args.t_max / steps, steps, state), args.out)
     return 0
 
 
@@ -242,7 +235,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ShapeError, HermiticityError, SolutionError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # numpy's MemoryError names the size; the interpreter's own has no text.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

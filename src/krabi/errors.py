@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its integer argument checks."""
+"""Exception types shared across the package, and one check per integer argument rule."""
 
 import numbers
 
@@ -50,3 +50,11 @@ def _levels(levels, dim: int) -> int:
     if not 1 <= levels <= dim:
         raise ShapeError(f"levels must satisfy 1 <= levels <= dim = {dim}, got {levels}")
     return levels
+
+
+def _steps(steps, least: int) -> int:
+    """A count of grid or time steps of at least ``least``; ValueError below it."""
+    steps = _integer(steps, "steps")
+    if steps < least:
+        raise ValueError(f"steps must be at least {least}, got {steps}")
+    return steps

@@ -14,8 +14,9 @@ through :func:`_norm`, which stays finite where the sum of squares of
 finite entries overflows but the norm does not. :func:`_checked_hermitian`
 holds the package's one Hermiticity rule; the eigensolver and
 :class:`krabi.model.BlockOperator` both apply it. One writer and one
-reader serve matrix and vector files: a round trip keeps every bit of a
-finite value, and a malformed file is a ShapeError naming its kind and path.
+reader serve matrix and vector files, which hold finite values only: a round
+trip keeps every bit, the writers refuse nan and inf, and the reader refuses
+them as it does a malformed file, with a ShapeError naming its kind and path.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def _dump(a: np.ndarray, path) -> None:
 
 def _load(path, kind: str) -> np.ndarray:
     """The array in a ``kind`` file, (n, n) for "matrix" or (n,) for "vector"; ShapeError naming
-    the kind and path unless it is ASCII text: a count n >= 1, then two floats per entry."""
+    the kind and path unless it is ASCII text: a count n >= 1, then two finite floats per entry."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -138,6 +139,9 @@ def _load(path, kind: str) -> np.ndarray:
             raise ValueError(f"the count {n} is not positive or does not match the "
                              f"{len(tokens) - 1} values")
         values = np.array(tokens[1:], dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"value {tokens[bad[0] + 1]!r} is not finite")
     except ValueError as exc:
         raise ShapeError(f"{kind} file {str(path)!r} malformed: {exc}") from None
     return values.view(np.complex128).reshape(shape)
@@ -150,17 +154,19 @@ def dump_matrix(a, path) -> None:
 
 def load_matrix(path) -> np.ndarray:
     """Read a matrix written by :func:`dump_matrix`; ShapeError if malformed or not finite."""
-    return as_square_complex(_load(path, "matrix"), "loaded matrix")
+    return _load(path, "matrix")
 
 
 def dump_vector(v, path) -> None:
-    """Write a nonempty complex vector, flattened, to ``path`` in the plain-text format."""
+    """Write a nonempty finite complex vector, flattened, to ``path`` in the plain-text format."""
     v = np.ascontiguousarray(np.asarray(v), dtype=np.complex128).reshape(-1)
     if v.size == 0:
         raise ShapeError("cannot dump an empty vector")
+    if not np.all(np.isfinite(v.view(np.float64))):
+        raise ShapeError("cannot dump a vector with non-finite entries")
     _dump(v, path)
 
 
 def load_vector(path) -> np.ndarray:
-    """Read a vector written by :func:`dump_vector`; ShapeError if malformed."""
+    """Read a vector written by :func:`dump_vector`; ShapeError if malformed or not finite."""
     return _load(path, "vector")

@@ -43,7 +43,7 @@ import numpy as np
 from ._format import WORDS, format_fields
 from ._sectors import (SectorSystem, _verified_signs, fock_mask, sector_axes, sector_eigensystem,
                        sector_levels, to_sectors)
-from .errors import ShapeError, _integer, _levels
+from .errors import ShapeError, _levels, _steps
 from .linalg import eig_hermitian
 from .model import ModelParams, build_blocks
 from .riccati import _decoupled_blocks
@@ -77,9 +77,7 @@ class SweepSpec:
             raise ValueError(f"sweep range hi - lo must be finite, got [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise ValueError(f"invalid range: lo = {self.lo} > hi = {self.hi}")
-        object.__setattr__(self, "steps", _integer(self.steps, "steps"))
-        if self.steps < 2:
-            raise ValueError(f"steps must be at least 2, got {self.steps}")
+        object.__setattr__(self, "steps", _steps(self.steps, 2))
         object.__setattr__(self, "levels", _levels(self.levels, self.base.dim))
         if self.param == "omega" and self.lo <= 0:
             raise ValueError("omega sweep requires lo > 0")
@@ -120,9 +118,7 @@ class EvolutionSpec:
         object.__setattr__(self, "dt", float(self.dt))
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        object.__setattr__(self, "steps", _integer(self.steps, "steps"))
-        if self.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {self.steps}")
+        object.__setattr__(self, "steps", _steps(self.steps, 1))
 
 
 def _verified_blocks(params: ModelParams):

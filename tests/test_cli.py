@@ -630,9 +630,8 @@ class TestErrorMessages:
         (["spectrum", *MODEL, "--levels", "0"],
          "levels must satisfy 1 <= levels <= dim = 12, got 0"),
         (["spectrum", *MODEL, "--levels", "two"], "argument --levels: invalid int value: 'two'"),
-        # --steps 0 would divide t_max by zero.
-        (["evolve", *MODEL, "--t-max", "1", "--steps", "0"],
-         "argument --steps: expected a positive integer, got 0"),
+        # The library checks --steps too, before evolve divides t_max by it.
+        (["evolve", *MODEL, "--t-max", "1", "--steps", "0"], "steps must be at least 1, got 0"),
     ])
     def test_range_errors_keep_their_text(self, capsys, argv, line):
         assert invoke(capsys, argv) == (2, "", f"error: {line}\n")
@@ -689,7 +688,7 @@ class TestTolerance:
 
 
 class TestImport:
-    def test_thread_pool_is_imported_only_by_parallel_sweeps(self):
+    def test_no_command_imports_a_thread_pool(self):
         # concurrent.futures (and logging with it) would cost every subcommand's
         # start-up; no command needs it since sweep lost its thread pool.
         code = ("import sys, krabi, krabi.cli; "

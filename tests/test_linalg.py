@@ -209,17 +209,6 @@ class TestSerialization:
         linalg.dump_vector(v, path)
         assert np.array_equal(bits(linalg.load_vector(path)), bits(v))
 
-    def test_non_finite_values_keep_their_text(self, tmp_path):
-        # The reader leaves finiteness to the caller: load_matrix refuses it, a state's spec too.
-        v = np.array([complex(np.nan, np.inf), complex(-np.inf, 0.0)])
-        path = tmp_path / "v.txt"
-        linalg.dump_vector(v, path)
-        assert path.read_text() == per_line_text(v)
-        assert np.array_equal(bits(linalg.load_vector(path)), bits(v))
-        linalg.dump_vector(v[:1].reshape(1, 1), path)
-        with pytest.raises(ShapeError, match="^loaded matrix contains non-finite entries$"):
-            linalg.load_matrix(path)
-
     def test_empty_vector_is_not_written(self, tmp_path):
         with pytest.raises(ShapeError, match="^cannot dump an empty vector$"):
             linalg.dump_vector(np.zeros(0), tmp_path / "v.txt")

@@ -151,18 +151,6 @@ class TestVerifyBand:
             _sectors.sector_eigensystem(params)
         assert str(core.value) == str(dense.value)
 
-    @pytest.mark.parametrize("bad", [2.0, 1j, -1.0 + 1e-15, 0.0])
-    def test_real_signs_rejects_anything_but_real_plus_minus_one(self, bad):
-        signs = generalized_parity_signs(2, 8).astype(complex)
-        signs[5] = bad
-        with pytest.raises(SolutionError, match="real"):
-            _sectors.real_signs(signs)
-
-    def test_real_signs_of_the_parity(self):
-        signs = _sectors.real_signs(generalized_parity_signs(3, 10))
-        assert signs.dtype == np.float64
-        assert np.array_equal(signs, generalized_parity_signs(3, 10))
-
 
 class TestSectorEigensystem:
     CASES = [(1, 16, 0), (1, 256, 1), (2, 17, 2), (2, 128, 3), (3, 31, 4), (3, 96, 5),

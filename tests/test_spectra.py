@@ -180,13 +180,12 @@ class TestSectorSpectrum:
 
     @pytest.mark.parametrize("bad", [1j, -1.0 + 1e-15j])
     def test_non_real_sign_raises_the_evolve_error(self, monkeypatch, bad):
-        # The dense route scores a non-real diagonal as a failed verification;
-        # the band route rejects it before verifying, as krabi evolve does.
+        # The band verdict fails a non-real diagonal, on the spectrum and evolve paths alike.
         params = seeded_params(14, 2, 24)
         signs = generalized_parity_signs(2, 24).astype(complex)
         signs[11] = bad
         monkeypatch.setattr(_sectors, "generalized_parity_signs", lambda *_: signs)
-        with pytest.raises(SolutionError, match="real") as core:
+        with pytest.raises(SolutionError, match="^candidate is not a verified Riccati") as core:
             sector_spectrum(params, 3)
         with pytest.raises(SolutionError) as evolve_path:
             _sectors.sector_eigensystem(params)
@@ -392,10 +391,11 @@ class TestEvolve:
         signs[2] = bad
         monkeypatch.setattr(_sectors, "generalized_parity_signs", lambda *_: signs)
         spec = EvolutionSpec(initial_state=self.basis_state(8, 0), dt=0.1, steps=2)
-        with pytest.raises(SolutionError, match="real"):
+        with pytest.raises(SolutionError, match="^candidate is not a verified Riccati") as core:
             evolve(params, spec)
-        with pytest.raises(SolutionError, match="real"):
+        with pytest.raises(SolutionError) as ground:
             ground_state(params)
+        assert str(ground.value) == str(core.value)
 
     def test_norm_drift_over_hundred_steps(self):
         params = ModelParams(alpha=0.6, omega=1.0, g=0.2 + 0.1j, k=2, dim=16)
