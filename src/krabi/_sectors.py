@@ -38,7 +38,7 @@ import numpy as np
 from .linalg import _eigh
 from .model import ModelParams
 from .parity import _lowering_band, generalized_parity_signs
-from .riccati import VerificationReport, _require_passed
+from .riccati import VerificationReport, _defect_norm, _require_passed
 
 
 def band(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -50,12 +50,9 @@ def band(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
 def verify_band(params: ModelParams, signs: np.ndarray, tol: float) -> VerificationReport:
     """:func:`verify_involution_solution` of the diagonal parity ``diag(signs)``.
 
-    The involution defect ||s*s - 1|| is exactly 0 only when every entry of s,
-    real or complex, is +-1, or +-1 plus an imaginary part so small (about
-    1e-163) that the squares of the defects underflow; so at tolerance 0 this
-    is the sign-vector check. For real signs s, the residual
-    alpha*x^2 + x h_plus - h_minus x - alpha*I is alpha*(s_p^2 - 1) on the
-    diagonal and the intertwining defect
+    The involution defect ||s*s - 1|| is 0 only when every entry of s is +-1,
+    so at tolerance 0 this is the sign-vector check. The residual is
+    alpha*(s_p^2 - 1) on the diagonal and the intertwining defect
     conj(g)*amp_p*(s_p + s_(p+k)) at (p, p+k), with its conjugate at (p+k, p).
     h_plus and h_minus share the norm sqrt(||omega*p||^2 + 2*||g*amp||^2).
     omega and |g| multiply norms taken without them, so no sum of squares
@@ -69,9 +66,9 @@ def verify_band(params: ModelParams, signs: np.ndarray, tol: float) -> Verificat
     coupling_norm = abs_g * float(np.linalg.norm(amplitudes))
     block_norm = math.hypot(diagonal_norm, math.sqrt(2.0) * coupling_norm)
     scale = 2.0 * block_norm + 2.0 * abs(params.alpha) * math.sqrt(dim)
-    involution_defect = float(np.linalg.norm(signs * signs - 1.0))
-    intertwining_defect = math.sqrt(2.0) * abs_g * float(
-        np.linalg.norm(amplitudes * (signs[:-k] + signs[k:])))
+    involution_defect = _defect_norm(signs * signs - 1.0)
+    intertwining_defect = math.sqrt(2.0) * abs_g * _defect_norm(
+        amplitudes * (signs[:-k] + signs[k:]))
     return VerificationReport.from_norms(
         residual_norm=math.hypot(abs(params.alpha) * involution_defect, intertwining_defect),
         scale=scale, involution_defect=involution_defect, x_norm=float(np.linalg.norm(signs)),

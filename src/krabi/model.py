@@ -5,8 +5,8 @@ frequency ``omega`` through a k-photon exchange term of strength ``g``:
 
     H = alpha*sigma_z + omega*a^dag a + sigma_x*(conj(g)*a^k + g*(a^dag)^k)
 
-This package works in the qubit basis that diagonalizes the coupling (the
-sigma_x eigenbasis). In that basis the boson-space blocks conditioned on
+This package works in the qubit basis that diagonalizes the exchange term
+(the sigma_x eigenbasis). In that basis the boson-space blocks conditioned on
 the qubit state are
 
     h_plus  = omega*a^dag a + (conj(g)*a^k + g*(a^dag)^k)
@@ -15,8 +15,8 @@ the qubit state are
 and the qubit gap turns into the constant off-diagonal block alpha*I, so
 the full 2*dim Hamiltonian reads [[h_plus, alpha*I], [alpha*I, h_minus]].
 The two conventions are related by a qubit-only unitary, so spectra and
-dynamics are identical; the block form is what the Riccati machinery in
-:mod:`krabi.riccati` consumes directly.
+dynamics are identical. :class:`BlockOperator` holds the block form as
+h_plus, h_minus and the scalar alpha, for :mod:`krabi.riccati`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,14 @@ import numpy as np
 
 from .errors import ShapeError, _k_dim
 from .fock import annihilation, number, power_k
-from .linalg import _checked_hermitian, as_square_complex
+from .linalg import _checked_hermitian
+
+
+def _finite_alpha(alpha) -> float:
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -36,7 +43,7 @@ class ModelParams:
     """Parameters of a truncated k-photon Rabi model.
 
     alpha: qubit gap (real). omega: mode frequency (real, positive).
-    g: coupling strength (complex; the phase is physical only up to a
+    g: exchange strength (complex; the phase is physical only up to a
     mode rotation). k: photon number per exchange, k >= 1. dim: boson
     truncation, dim >= 2*k so every sector keeps at least two states.
     """
@@ -49,13 +56,11 @@ class ModelParams:
 
     def __post_init__(self):
         k, dim = _k_dim(self.k, self.dim)
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", _finite_alpha(self.alpha))
         object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "g", complex(self.g))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "dim", dim)
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if not (math.isfinite(self.omega) and self.omega > 0):
             raise ValueError(f"omega must be finite and positive, got {self.omega}")
         if not (math.isfinite(self.g.real) and math.isfinite(self.g.imag)):
@@ -64,42 +69,34 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class BlockOperator:
-    """Boson-space blocks of a qubit-boson Hamiltonian.
+    """Boson-space blocks of the Rabi Hamiltonian [[h_plus, alpha*I], [alpha*I, h_minus]].
 
-    Represents the 2x2 block matrix [[h_plus, coupling],
-    [coupling^dag, h_minus]] acting on two stacked copies of the truncated
-    boson space. h_plus and h_minus must pass the Hermiticity check of
-    :mod:`krabi.linalg`, the one the eigensolver applies; for the Rabi
-    model the coupling block is exactly alpha*I. Treated as an immutable
-    value after construction.
+    h_plus and h_minus must pass the Hermiticity check of :mod:`krabi.linalg`,
+    the one the eigensolver applies, and alpha must be finite, as in
+    :class:`ModelParams`. Treated as an immutable value after construction.
     """
 
     h_plus: np.ndarray
     h_minus: np.ndarray
-    coupling: np.ndarray
+    alpha: float
 
     def __post_init__(self):
         hp = _checked_hermitian(self.h_plus, "h_plus")[0]
         hm = _checked_hermitian(self.h_minus, "h_minus")[0]
-        v = as_square_complex(self.coupling, "coupling")
-        if not (hp.shape == hm.shape == v.shape):
-            raise ShapeError(
-                f"block dimensions differ: {hp.shape[0]}, {hm.shape[0]}, {v.shape[0]}"
-            )
+        if hp.shape != hm.shape:
+            raise ShapeError(f"block dimensions differ: {hp.shape[0]}, {hm.shape[0]}")
         object.__setattr__(self, "h_plus", hp)
         object.__setattr__(self, "h_minus", hm)
-        object.__setattr__(self, "coupling", v)
+        object.__setattr__(self, "alpha", _finite_alpha(self.alpha))
 
     @property
     def dim(self) -> int:
         return self.h_plus.shape[0]
 
     def full_matrix(self) -> np.ndarray:
-        """Dense 2*dim matrix [[h_plus, v], [v^dag, h_minus]]."""
-        return np.block([
-            [self.h_plus, self.coupling],
-            [self.coupling.conj().T, self.h_minus],
-        ])
+        """Dense 2*dim matrix [[h_plus, alpha*I], [alpha*I, h_minus]]."""
+        v = self.alpha * np.eye(self.dim, dtype=np.complex128)
+        return np.block([[self.h_plus, v], [v, self.h_minus]])
 
 
 def coupling_term(params: ModelParams) -> np.ndarray:
@@ -109,13 +106,11 @@ def coupling_term(params: ModelParams) -> np.ndarray:
 
 
 def build_blocks(params: ModelParams) -> BlockOperator:
-    """Blocks h_plus, h_minus and the constant coupling alpha*I."""
+    """Blocks h_plus, h_minus and the off-diagonal blocks' value alpha."""
     n_op = number(params.dim)
     w = coupling_term(params)
-    h_plus = params.omega * n_op + w
-    h_minus = params.omega * n_op - w
-    v = params.alpha * np.eye(params.dim, dtype=np.complex128)
-    return BlockOperator(h_plus=h_plus, h_minus=h_minus, coupling=v)
+    return BlockOperator(h_plus=params.omega * n_op + w, h_minus=params.omega * n_op - w,
+                         alpha=params.alpha)
 
 
 def build_full(params: ModelParams) -> np.ndarray:

@@ -1,25 +1,25 @@
 """Operator Riccati residuals, solution verification and block diagonalization.
 
-A 2x2 block Hamiltonian [[h_plus, v], [v^dag, h_minus]] decouples under the
-similarity transform
+The Rabi Hamiltonian [[h_plus, alpha*I], [alpha*I, h_minus]] decouples under
+the similarity transform
 
     s = [[I, -x^dag], [x, I]]
 
 exactly when x satisfies the operator Riccati equation
 
-    x v x + x h_plus - h_minus x - v^dag = 0.
+    alpha*x^2 + x h_plus - h_minus x - alpha*I = 0,
 
-Any Hermitian involution x that intertwines the diagonal blocks
-(x h_plus = h_minus x) is such a solution: the quadratic term collapses to
-v and cancels v^dag. For a Hermitian involution the transform inverts in
-closed form, s_inv = (1/2) [[I, x], [-x, I]]; general (non-involutive)
-solutions are out of scope here, so :func:`similarity_transform` refuses
-anything else rather than attempting a generic block inversion.
+whose left side alpha*(x^2 - I) + (x h_plus - h_minus x) sums x's two defects:
+any involution that intertwines the diagonal blocks solves it. For a Hermitian
+involution the transform inverts in closed form, s_inv = (1/2) [[I, x], [-x, I]];
+general (non-involutive) solutions are out of scope here, so
+:func:`similarity_transform` refuses anything else rather than attempting a
+generic block inversion.
 
 Verification is numerical and falsifiable: :func:`residual` evaluates the
 equation, :func:`verify_involution_solution` scores a candidate and
 :func:`block_diagonalize` demands a verified candidate before producing
-the decoupled blocks h_plus + v x and h_minus - (v x)^dag. Both this dense
+the decoupled blocks h_plus + alpha*x and h_minus - alpha*x^dag. Both this dense
 route and the band route of :mod:`krabi._sectors` only compute norms, and
 :meth:`VerificationReport.from_norms` gives the verdict.
 """
@@ -47,15 +47,25 @@ def _checked_candidate(blocks: BlockOperator, x) -> np.ndarray:
     return x
 
 
-def residual(blocks: BlockOperator, x) -> np.ndarray:
-    """Riccati residual x v x + x h_plus - h_minus x - v^dag.
+def _defects(blocks: BlockOperator, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x^2 - I, x h_plus - h_minus x and the residual alpha*(x^2 - I) + (x h_plus - h_minus x)."""
+    involution = x @ x - np.eye(blocks.dim)
+    intertwining = x @ blocks.h_plus - blocks.h_minus @ x
+    return involution, intertwining, blocks.alpha * involution + intertwining
 
-    For the Rabi blocks, where v = alpha*I, this is
-    alpha*x^2 + x h_plus - h_minus x - alpha*I.
-    """
-    x = _checked_candidate(blocks, x)
-    v = blocks.coupling
-    return x @ v @ x + x @ blocks.h_plus - blocks.h_minus @ x - v.conj().T
+
+def residual(blocks: BlockOperator, x) -> np.ndarray:
+    """Riccati residual alpha*x^2 + x h_plus - h_minus x - alpha*I, from x's two defects."""
+    return _defects(blocks, _checked_candidate(blocks, x))[2]
+
+
+def _defect_norm(a) -> float:
+    """_norm of a defect, taken on ``a`` over its largest modulus where squares underflow to 0."""
+    norm = _norm(a)
+    if norm == 0.0 and np.any(a):
+        peak = np.max(np.abs(a))  # not a / peak: it overflows for complex a at a subnormal peak
+        norm = float(peak * np.linalg.norm(np.abs(a) / peak))
+    return norm
 
 
 def _is_involution(defect: float, x_norm: float, tol: float) -> bool:
@@ -73,7 +83,7 @@ class VerificationReport:
 
     :meth:`from_norms` holds the package's one verdict rule.
     ``relative_residual`` is the residual norm over
-    ||h_plus|| + ||h_minus|| + 2*||v|| (Frobenius), or the residual norm
+    ||h_plus|| + ||h_minus|| + 2*|alpha|*sqrt(dim) (Frobenius), or the residual norm
     itself when that scale is 0. ``is_involution`` holds when
     ||x^2 - I|| <= tolerance * max(1, ||x||^2), and ``intertwines`` when
     ||x h_plus - h_minus x|| <= tolerance * max(1, ||h_plus|| + ||h_minus||).
@@ -96,7 +106,7 @@ class VerificationReport:
     def from_norms(cls, *, residual_norm, scale, involution_defect, x_norm,
                    intertwining_defect, block_scale, tol, params=None) -> VerificationReport:
         """The report on x from its norms: ``scale`` is ||h_plus|| + ||h_minus||
-        + 2*||v|| and ``block_scale`` is ||h_plus|| + ||h_minus||. Raises
+        + 2*||v||, v = alpha*I, and ``block_scale`` is ||h_plus|| + ||h_minus||. Raises
         ValueError unless ``tol`` is finite and >= 0 and ``scale`` is finite."""
         if not 0.0 <= tol < np.inf:  # NaN fails too
             raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
@@ -165,13 +175,13 @@ def verify_involution_solution(
     report so that claims stay falsifiable.
     """
     x = _checked_candidate(blocks, x)
-    hp, hm, v = blocks.h_plus, blocks.h_minus, blocks.coupling
-    block_scale = _norm(hp) + _norm(hm)
+    involution, intertwining, res = _defects(blocks, x)
+    block_scale = _norm(blocks.h_plus) + _norm(blocks.h_minus)
     report = VerificationReport.from_norms(
-        residual_norm=_norm(residual(blocks, x)), scale=block_scale + 2.0 * _norm(v),
-        involution_defect=_norm(x @ x - np.eye(blocks.dim)), x_norm=_norm(x),
-        intertwining_defect=_norm(x @ hp - hm @ x), block_scale=block_scale,
-        tol=tol, params=params)
+        residual_norm=_defect_norm(res), involution_defect=_defect_norm(involution),
+        intertwining_defect=_defect_norm(intertwining), x_norm=_norm(x),
+        scale=block_scale + 2.0 * abs(blocks.alpha) * np.sqrt(blocks.dim),
+        block_scale=block_scale, tol=tol, params=params)
 
     if compare_spectra and report.passed:
         report.spectra_match = _spectra_match(blocks, x)
@@ -213,8 +223,7 @@ def similarity_transform(x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _decoupled_blocks(blocks: BlockOperator, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vx = blocks.coupling @ x
-    return blocks.h_plus + vx, blocks.h_minus - vx.conj().T
+    return blocks.h_plus + blocks.alpha * x, blocks.h_minus - blocks.alpha * x.conj().T
 
 
 def block_diagonalize(
@@ -223,11 +232,10 @@ def block_diagonalize(
     *,
     tol: float = DEFAULT_TOLERANCE,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decoupled blocks (h_plus + v x, h_minus - (v x)^dag).
+    """Decoupled blocks (h_plus + alpha*x, h_minus - alpha*x^dag).
 
     Requires x to pass :func:`verify_involution_solution` at ``tol``;
-    raises SolutionError otherwise. For the Rabi blocks with Hermitian x
-    this reduces to h_plus + alpha*x and h_minus - alpha*x.
+    raises SolutionError otherwise.
     """
     x = _checked_candidate(blocks, x)
     _require_passed(verify_involution_solution(blocks, x, tol=tol))

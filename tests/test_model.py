@@ -53,7 +53,7 @@ class TestBlocks:
         blocks = build_blocks(HAND)
         assert np.allclose(blocks.h_plus, [[0, 1], [1, 1]], rtol=0, atol=1e-15)
         assert np.allclose(blocks.h_minus, [[0, -1], [-1, 1]], rtol=0, atol=1e-15)
-        assert np.array_equal(blocks.coupling, 0.5 * np.eye(2))
+        assert blocks.alpha == 0.5 and type(blocks.alpha) is float
 
     def test_decoupled_limit(self):
         p = ModelParams(alpha=0.3, omega=1.7, g=0.0, k=2, dim=8)
@@ -77,7 +77,7 @@ class TestBlocks:
     @pytest.mark.parametrize("name", ["h_plus", "h_minus"])
     def test_blocks_held_to_the_eigensolver_rule(self, name):
         eye = np.eye(2)
-        skew = {"h_plus": eye, "h_minus": eye, "coupling": eye,
+        skew = {"h_plus": eye, "h_minus": eye, "alpha": 1.0,
                 name: np.array([[0.0, 1.0], [0.0, 0.0]])}
         with pytest.raises(HermiticityError, match=rf"^matrix is not Hermitian: defect "
                            rf"1\.414e\+00 exceeds 1\.0e-12 \* \|\|{name}\|\| = 1\.000e-12$"):
@@ -86,6 +86,18 @@ class TestBlocks:
         nearly = np.array([[1.0, 1.0], [1.0 + 1e-14, 1.0]])
         stored = BlockOperator(**{**skew, name: nearly})
         assert np.array_equal(getattr(stored, name), nearly)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_alpha_refused_as_in_params(self, alpha):
+        eye = np.eye(2)
+        with pytest.raises(ValueError, match=f"^alpha must be finite, got {alpha}$"):
+            BlockOperator(h_plus=eye, h_minus=eye, alpha=alpha)
+        with pytest.raises(ValueError, match=f"^alpha must be finite, got {alpha}$"):
+            ModelParams(alpha=alpha, omega=1.0, g=0.1, k=1, dim=4)
+
+    def test_block_dimensions_must_agree(self):
+        with pytest.raises(ShapeError, match="^block dimensions differ: 2, 3$"):
+            BlockOperator(h_plus=np.eye(2), h_minus=np.eye(3), alpha=0.5)
 
 
 class TestFullMatrix:

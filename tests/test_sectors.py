@@ -6,6 +6,7 @@ block_diagonalize, eig_hermitian), which stays as the oracle.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from krabi.model import ModelParams, build_blocks
 from krabi.linalg import eig_hermitian
 from krabi.parity import (bosonic_parity_signs, generalized_parity, generalized_parity_signs,
                           two_photon_parity_signs)
-from krabi.riccati import block_diagonalize, verify_involution_solution
+from krabi.riccati import block_diagonalize, residual, verify_involution_solution
 
 
 def seeded_params(seed, k, dim):
@@ -55,17 +56,13 @@ def dense_report(params, signs, tol):
                                       tol=tol)
 
 
-def assert_same_defects(band, dense, params):
-    # Within 1e-12 of the dense value, or of the residual's scale where that is
-    # larger: the dense residual rounds alpha + s_p*omega*p on its diagonal, where
-    # the band's is exactly alpha*(s_p^2 - 1).
-    blocks = build_blocks(params)
-    scale = (np.linalg.norm(blocks.h_plus) + np.linalg.norm(blocks.h_minus)
-             + 2 * np.linalg.norm(blocks.coupling))
-    for key, floor in (("residual_norm", scale), ("relative_residual", 1.0),
-                       ("involution_defect", scale), ("intertwining_defect", scale)):
+def assert_same_defects(band, dense):
+    # Both routes form the residual from the same two defects: an exact zero on
+    # the band is an exact zero on the dense route, and the rest agree to 1e-15.
+    for key in ("residual_norm", "relative_residual", "involution_defect",
+                "intertwining_defect"):
         got, expected = getattr(band, key), getattr(dense, key)
-        assert abs(got - expected) <= 1e-12 * max(expected, floor), key
+        assert got == expected == 0 if got == 0 else abs(got - expected) <= 1e-15 * expected, key
 
 
 class TestBand:
@@ -97,13 +94,21 @@ class TestVerifyBand:
         for tol in (0.0, 1e-10, 1e-3):
             band = _sectors.verify_band(params, signs, tol)
             dense = dense_report(params, signs, tol)
-            assert band.passed == name.startswith("parity")
+            assert band.passed == dense.passed == name.startswith("parity")
             assert (band.is_involution, band.intertwines) == (dense.is_involution,
                                                               dense.intertwines)
-            # At tolerance 0 the dense residual's roundoff can fail the parity; the band's
-            # residual is exactly 0.
-            assert dense.passed == band.passed or (tol == 0 and dense.relative_residual > 0)
-            assert_same_defects(band, dense, params)
+            assert_same_defects(band, dense)
+
+    @pytest.mark.parametrize("tiny", [1e-170, 1e-300, 5e-324])
+    def test_defect_whose_squares_underflow_fails(self, tiny):
+        # |2j*tiny|^2 underflows to 0; the defect norms are rescaled, so they stay > 0.
+        params = ModelParams(alpha=1.0, omega=1.0, g=0.5, k=2, dim=12)
+        signs = generalized_parity_signs(2, 12).astype(complex)
+        signs[5] += 1j * tiny
+        for report in (_sectors.verify_band(params, signs, 0.0),
+                       dense_report(params, signs, 0.0)):
+            assert not report.passed and not report.is_involution
+            assert report.involution_defect > 0 and report.residual_norm > 0
 
     def test_report_carries_the_params(self):
         params = seeded_params(3, 2, 12)
@@ -116,7 +121,7 @@ class TestVerifyBand:
         params = ModelParams(alpha=1.0, omega=1e200, g=1e200, k=1, dim=4)
         report = _sectors.verify_band(params, generalized_parity_signs(1, 4), 0.0)
         assert report.passed and report.residual_norm == 0.0
-        assert dense_report(params, generalized_parity_signs(1, 4), 1e-10).passed
+        assert dense_report(params, generalized_parity_signs(1, 4), 0.0).passed
 
     def test_band_entries_past_the_float64_range_raise(self):
         # |g|*amp_p overflows; so does the norm scale, which the verdict rule refuses.
@@ -127,9 +132,9 @@ class TestVerifyBand:
 
     def test_zero_coupling_passes_any_sign_vector(self):
         params = ModelParams(alpha=0.5, omega=1.0, g=0.0, k=2, dim=12)
-        band = _sectors.verify_band(params, bosonic_parity_signs(12), 1e-10)
+        band = _sectors.verify_band(params, bosonic_parity_signs(12), 0.0)
         assert band.passed and band.residual_norm == 0
-        assert dense_report(params, bosonic_parity_signs(12), 1e-10).passed
+        assert dense_report(params, bosonic_parity_signs(12), 0.0).passed
 
     def test_real_defects_of_non_sign_vectors_match(self):
         params = seeded_params(5, 2, 16)
@@ -138,7 +143,7 @@ class TestVerifyBand:
         band = _sectors.verify_band(params, signs, 1e-10)
         dense = dense_report(params, signs, 1e-10)
         assert not band.passed and not dense.passed
-        assert_same_defects(band, dense, params)
+        assert_same_defects(band, dense)
 
     @pytest.mark.parametrize("name,k,dim,signs", [c for c in CANDIDATES if "parity" not in c[0]],
                              ids=[c[0] for c in CANDIDATES if "parity" not in c[0]])
@@ -150,6 +155,46 @@ class TestVerifyBand:
         with pytest.raises(SolutionError) as core:
             _sectors.sector_eigensystem(params)
         assert str(core.value) == str(dense.value)
+
+
+def sector_signs(k, dim, epsilon):
+    """s_p = epsilon_(p mod k) * (-1)^(p // k): the parity with sector l's sign flipped
+    where epsilon_(l-1) = -1."""
+    return np.asarray(epsilon)[np.arange(dim) % k] * generalized_parity_signs(k, dim)
+
+
+class TestPerSectorParities:
+    """Each of the 2^k per-sector sign choices solves the Riccati equation exactly, and
+    among the +-1 diagonals nothing else does."""
+
+    @pytest.mark.parametrize("variant", ["seeded", "alpha<0", "alpha=0"])
+    @pytest.mark.parametrize("k,dim", [(1, 9), (2, 12), (2, 13), (3, 31), (4, 16), (4, 22)])
+    def test_every_sign_choice_passes_at_tolerance_zero(self, k, dim, variant):
+        params = seeded_params(dim, k, dim)
+        alpha = {"seeded": params.alpha, "alpha<0": -params.alpha, "alpha=0": 0.0}[variant]
+        params = dataclasses.replace(params, alpha=alpha)
+        blocks = build_blocks(params)
+        for epsilon in itertools.product((1, -1), repeat=k):
+            signs = sector_signs(k, dim, epsilon)
+            x = np.diag(signs.astype(complex))
+            band = _sectors.verify_band(params, signs, 0.0)
+            dense = verify_involution_solution(blocks, x, tol=0.0)
+            assert band.passed and dense.passed, epsilon
+            assert band.residual_norm == dense.residual_norm == 0.0
+            assert not np.any(residual(blocks, x))
+
+    def test_brute_force_finds_only_the_sector_signs(self):
+        params = seeded_params(1, 2, 8)
+        blocks = build_blocks(params)
+        expected = {tuple(sector_signs(2, 8, e)) for e in itertools.product((1, -1), repeat=2)}
+        band, dense = set(), set()
+        for signs in itertools.product((1, -1), repeat=8):
+            signs = np.array(signs)
+            if _sectors.verify_band(params, signs, 0.0).passed:
+                band.add(tuple(signs))
+            if verify_involution_solution(blocks, np.diag(signs.astype(complex)), tol=0.0).passed:
+                dense.add(tuple(signs))
+        assert band == dense == expected and len(expected) == 4
 
 
 class TestSectorEigensystem:
