@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from ._sectors import verify_band
-from .errors import _steps
+from .errors import _number, _steps
 from .linalg import dump_matrix, load_vector
 from .model import ModelParams, build_blocks
 from .parity import bosonic_parity_signs, generalized_parity_signs, two_photon_parity_signs
@@ -187,11 +187,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_evolve(args) -> int:
     params = _params_from(args)
-    if not (np.isfinite(args.t_max) and args.t_max > 0):
-        raise ValueError(f"t-max must be positive and finite, got {args.t_max}")
+    t_max = _number(args.t_max, "t-max", float, "> 0")
     steps = _steps(args.steps, 1)
     state = None if args.state == "ground" else load_vector(args.state)
-    _emit(_evolve_csv(params, args.t_max / steps, steps, state), args.out)
+    _emit(_evolve_csv(params, t_max / steps, steps, state), args.out)
     return 0
 
 

@@ -1,5 +1,10 @@
-"""Exception types shared across the package, and one check per integer argument rule."""
+"""Exception types shared across the package, and one check per input rule.
 
+A bool, str, None or array given for a number is a ValueError that names the
+parameter; numpy scalars are accepted.
+"""
+
+import math
 import numbers
 
 
@@ -58,3 +63,22 @@ def _steps(steps, least: int) -> int:
     if steps < least:
         raise ValueError(f"steps must be at least {least}, got {steps}")
     return steps
+
+
+_KINDS = {float: (numbers.Real, "a real number"), complex: (numbers.Complex, "a complex number")}
+
+
+def _number(value, name: str, kind: type = float, bound: str = ""):
+    """``value`` as a finite ``kind`` (float or complex) that, for a float, is ``bound``
+    ("> 0" or ">= 0") when one is given. An int past the float64 range is not finite."""
+    abstract, noun = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, abstract):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    try:
+        x = kind(value)
+    except OverflowError:
+        x = kind(math.inf if value > 0 else -math.inf)
+    if not (math.isfinite(x.real) and math.isfinite(x.imag)
+            and (bound != "> 0" or x > 0) and (bound != ">= 0" or x >= 0)):
+        raise ValueError(f"{name} must be finite{f' and {bound}' if bound else ''}, got {x}")
+    return x

@@ -21,21 +21,13 @@ h_plus, h_minus and the scalar alpha, for :mod:`krabi.riccati`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, _k_dim
+from .errors import ShapeError, _k_dim, _number
 from .fock import annihilation, number, power_k
 from .linalg import _checked_hermitian
-
-
-def _finite_alpha(alpha) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    return alpha
 
 
 @dataclass(frozen=True)
@@ -56,15 +48,11 @@ class ModelParams:
 
     def __post_init__(self):
         k, dim = _k_dim(self.k, self.dim)
-        object.__setattr__(self, "alpha", _finite_alpha(self.alpha))
-        object.__setattr__(self, "omega", float(self.omega))
-        object.__setattr__(self, "g", complex(self.g))
+        object.__setattr__(self, "alpha", _number(self.alpha, "alpha"))
+        object.__setattr__(self, "omega", _number(self.omega, "omega", float, "> 0"))
+        object.__setattr__(self, "g", _number(self.g, "g", complex))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "dim", dim)
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be finite and positive, got {self.omega}")
-        if not (math.isfinite(self.g.real) and math.isfinite(self.g.imag)):
-            raise ValueError(f"g must be finite, got {self.g}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +75,7 @@ class BlockOperator:
             raise ShapeError(f"block dimensions differ: {hp.shape[0]}, {hm.shape[0]}")
         object.__setattr__(self, "h_plus", hp)
         object.__setattr__(self, "h_minus", hm)
-        object.__setattr__(self, "alpha", _finite_alpha(self.alpha))
+        object.__setattr__(self, "alpha", _number(self.alpha, "alpha"))
 
     @property
     def dim(self) -> int:

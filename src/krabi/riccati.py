@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HermiticityError, ShapeError, SolutionError
+from .errors import HermiticityError, ShapeError, SolutionError, _number
 from .linalg import HERMITICITY_RTOL, _checked_hermitian, _norm, as_square_complex, eig_hermitian
 from .model import BlockOperator, ModelParams
 
@@ -88,8 +88,8 @@ class VerificationReport:
     ||x^2 - I|| <= tolerance * max(1, ||x||^2), and ``intertwines`` when
     ||x h_plus - h_minus x|| <= tolerance * max(1, ||h_plus|| + ||h_minus||).
     ``spectra_match`` is the maximum deviation between the sorted union of
-    the decoupled block spectra and the full spectrum; it is filled only
-    when requested and only for a passing candidate.
+    the decoupled block spectra and the full spectrum; only
+    ``krabi verify --spectra`` fills it, and only for a passing candidate.
     """
 
     residual_norm: float
@@ -106,13 +106,12 @@ class VerificationReport:
     def from_norms(cls, *, residual_norm, scale, involution_defect, x_norm,
                    intertwining_defect, block_scale, tol, params=None) -> VerificationReport:
         """The report on x from its norms: ``scale`` is ||h_plus|| + ||h_minus||
-        + 2*||v||, v = alpha*I, and ``block_scale`` is ||h_plus|| + ||h_minus||. Raises
+        + 2*|alpha|*sqrt(dim) and ``block_scale`` is ||h_plus|| + ||h_minus||. Raises
         ValueError unless ``tol`` is finite and >= 0 and ``scale`` is finite."""
-        if not 0.0 <= tol < np.inf:  # NaN fails too
-            raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+        tol = _number(tol, "tolerance", float, ">= 0")
         if not np.isfinite(scale):
-            raise ValueError("the model overflows float64: ||h_plus|| + ||h_minus|| + 2*||v|| "
-                             f"= {scale:.3e}")
+            raise ValueError("the model overflows float64: ||h_plus|| + ||h_minus|| "
+                             f"+ 2*|alpha|*sqrt(dim) = {scale:.3e}")
         return cls(
             residual_norm=residual_norm,
             relative_residual=residual_norm / scale if scale > 0 else residual_norm,
@@ -120,7 +119,7 @@ class VerificationReport:
             intertwining_defect=intertwining_defect,
             is_involution=_is_involution(involution_defect, x_norm, tol),
             intertwines=intertwining_defect <= tol * max(1.0, block_scale),
-            tolerance=float(tol),
+            tolerance=tol,
             params=params,
         )
 
@@ -167,7 +166,6 @@ def verify_involution_solution(
     *,
     tol: float = DEFAULT_TOLERANCE,
     params: ModelParams | None = None,
-    compare_spectra: bool = False,
 ) -> VerificationReport:
     """Score a candidate: involution, intertwining and Riccati residual.
 
@@ -177,16 +175,11 @@ def verify_involution_solution(
     x = _checked_candidate(blocks, x)
     involution, intertwining, res = _defects(blocks, x)
     block_scale = _norm(blocks.h_plus) + _norm(blocks.h_minus)
-    report = VerificationReport.from_norms(
+    return VerificationReport.from_norms(
         residual_norm=_defect_norm(res), involution_defect=_defect_norm(involution),
         intertwining_defect=_defect_norm(intertwining), x_norm=_norm(x),
         scale=block_scale + 2.0 * abs(blocks.alpha) * np.sqrt(blocks.dim),
         block_scale=block_scale, tol=tol, params=params)
-
-    if compare_spectra and report.passed:
-        report.spectra_match = _spectra_match(blocks, x)
-
-    return report
 
 
 def _spectra_match(blocks: BlockOperator, x: np.ndarray) -> float:

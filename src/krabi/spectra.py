@@ -43,7 +43,7 @@ import numpy as np
 from ._format import WORDS, format_fields
 from ._sectors import (SectorSystem, _verified_signs, fock_mask, sector_axes, sector_eigensystem,
                        sector_levels, to_sectors)
-from .errors import ShapeError, _levels, _steps
+from .errors import ShapeError, _levels, _number, _steps
 from .linalg import eig_hermitian
 from .model import ModelParams, build_blocks
 from .riccati import _decoupled_blocks
@@ -70,19 +70,17 @@ class SweepSpec:
     def __post_init__(self):
         if self.param not in _SWEEPABLE:
             raise ValueError(f"param must be one of {_SWEEPABLE}, got {self.param!r}")
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        # Not finite if lo or hi is not, or if the width overflows (silently, for floats).
-        if not math.isfinite(self.hi - self.lo):
-            raise ValueError(f"sweep range hi - lo must be finite, got [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"invalid range: lo = {self.lo} > hi = {self.hi}")
+        lo = _number(self.lo, "lo", float, ">= 0" if self.param == "g" else "")
+        hi = _number(self.hi, "hi")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        if not math.isfinite(hi - lo):  # the width of finite endpoints overflows silently
+            raise ValueError(f"sweep range hi - lo must be finite, got [{lo}, {hi}]")
+        if lo > hi:
+            raise ValueError(f"invalid range: lo = {lo} > hi = {hi}")
         object.__setattr__(self, "steps", _steps(self.steps, 2))
         object.__setattr__(self, "levels", _levels(self.levels, self.base.dim))
-        if self.param == "omega" and self.lo <= 0:
-            raise ValueError("omega sweep requires lo > 0")
-        if self.param == "g" and self.lo < 0:
-            raise ValueError("coupling-magnitude sweep requires lo >= 0")
+        self.params_at(lo)  # the model's own rules, omega > 0 among them
 
     def params_at(self, value: float) -> ModelParams:
         """Model parameters at one grid value of the swept quantity."""
@@ -115,9 +113,7 @@ class EvolutionSpec:
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"initial state must be normalized to 1, got norm {norm!r}")
         object.__setattr__(self, "initial_state", state)
-        object.__setattr__(self, "dt", float(self.dt))
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        object.__setattr__(self, "dt", _number(self.dt, "dt", float, "> 0"))
         object.__setattr__(self, "steps", _steps(self.steps, 1))
 
 

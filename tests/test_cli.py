@@ -543,7 +543,7 @@ class TestOverflow:
     def test_band_past_the_float64_range(self, capsys, command, omega):
         argv = [command[0], *self.HUGE, "--omega", omega, "--g", "1", *command[1:]]
         assert invoke(capsys, argv) == (2, "", "error: the model overflows float64: "
-                                        "||h_plus|| + ||h_minus|| + 2*||v|| = inf\n")
+                                        "||h_plus|| + ||h_minus|| + 2*|alpha|*sqrt(dim) = inf\n")
 
     def test_evolve_phase_past_the_float64_range(self, capsys, tmp_path):
         path = tmp_path / "trajectory.csv"

@@ -1,11 +1,13 @@
 """One check per input rule, reached through every entry point with the same text.
 
-Step counts are checked by errors._steps, the values of a vector or matrix
-file by linalg._load, and a parity's sign vector by the band verdict
-(_sectors.verify_band). Each table below sends one rule's bad inputs through
+Step counts are checked by errors._steps, real and complex scalars by
+errors._number, the values of a vector or matrix file by linalg._load, and a
+parity's sign vector by the band verdict (_sectors.verify_band). Each table below sends one rule's bad inputs through
 every entry point that reaches it. On the command line a refused input is
 one "error:" line on stderr and exit code 2.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,9 +15,9 @@ import pytest
 from krabi import _sectors
 from krabi.errors import ShapeError, SolutionError
 from krabi.linalg import dump_vector, load_matrix, load_vector
-from krabi.model import ModelParams
-from krabi.parity import generalized_parity_signs
-from krabi.riccati import _require_passed
+from krabi.model import BlockOperator, ModelParams, build_blocks
+from krabi.parity import bosonic_parity, generalized_parity, generalized_parity_signs
+from krabi.riccati import _require_passed, block_diagonalize, verify_involution_solution
 from krabi.spectra import EvolutionSpec, SweepSpec, ground_state, sector_spectrum
 from test_cli import MODEL, invoke
 
@@ -64,6 +66,130 @@ class TestSteps:
         least, outcome = self.ENTRIES[entry]
         expected = None if steps >= least else f"steps must be at least {least}, got {steps}"
         assert outcome(capsys, steps) == expected
+
+
+class TestScalars:
+    BLOCKS = build_blocks(PARAMS)
+    #: Entry point: (parameter, float or complex, bound, outcome for a value). The
+    #: value 1 is valid at each.
+    ENTRIES = {
+        "ModelParams alpha": ("alpha", float, "", library(lambda v: ModelParams(
+            alpha=v, omega=1.0, g=0.5, k=2, dim=12))),
+        "ModelParams omega": ("omega", float, "> 0", library(lambda v: ModelParams(
+            alpha=1.0, omega=v, g=0.5, k=2, dim=12))),
+        "ModelParams g": ("g", complex, "", library(lambda v: ModelParams(
+            alpha=1.0, omega=1.0, g=v, k=2, dim=12))),
+        "BlockOperator alpha": ("alpha", float, "", library(lambda v: BlockOperator(
+            h_plus=TestScalars.BLOCKS.h_plus, h_minus=TestScalars.BLOCKS.h_minus, alpha=v))),
+        "SweepSpec lo (g)": ("lo", float, ">= 0", library(lambda v: SweepSpec(
+            base=PARAMS, param="g", lo=v, hi=2.0, steps=3, levels=2))),
+        "SweepSpec lo (alpha)": ("lo", float, "", library(lambda v: SweepSpec(
+            base=PARAMS, param="alpha", lo=v, hi=2.0, steps=3, levels=2))),
+        "SweepSpec hi": ("hi", float, "", library(lambda v: SweepSpec(
+            base=PARAMS, param="alpha", lo=-2.0, hi=v, steps=3, levels=2))),
+        "EvolutionSpec dt": ("dt", float, "> 0", library(lambda v: EvolutionSpec(
+            initial_state=ground_state(PARAMS), dt=v, steps=2))),
+        "verify_involution_solution tol": ("tolerance", float, ">= 0", library(
+            lambda v: verify_involution_solution(TestScalars.BLOCKS, generalized_parity(2, 12),
+                                                 tol=v))),
+        "block_diagonalize tol": ("tolerance", float, ">= 0", library(
+            lambda v: block_diagonalize(TestScalars.BLOCKS, generalized_parity(2, 12), tol=v))),
+        "verify_band tol": ("tolerance", float, ">= 0", library(
+            lambda v: _sectors.verify_band(PARAMS, generalized_parity_signs(2, 12), v))),
+    }
+    NOUN = {float: "a real number", complex: "a complex number"}
+    #: Values that are no number of the kind, for every entry point.
+    NOT_NUMBERS = [True, False, "1", None, np.array(1.0), np.array([1.0]), np.bool_(True)]
+    #: A value that is not finite, and the float it reads as.
+    NOT_FINITE = [(math.nan, math.nan), (math.inf, math.inf), (-math.inf, -math.inf),
+                  (10**400, math.inf), (-10**400, -math.inf)]
+    #: For each bound, the values on its edge or past it.
+    PAST_BOUND = {"": [], "> 0": [0, 0.0, -1e-300], ">= 0": [-1, -5e-324]}
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_not_a_number_is_refused_by_name(self, capsys, entry, value):
+        name, kind, _, outcome = self.ENTRIES[entry]
+        assert outcome(capsys, value) == f"{name} must be {self.NOUN[kind]}, got {value!r}"
+
+    @pytest.mark.parametrize("entry", [e for e, spec in ENTRIES.items() if spec[1] is float])
+    def test_complex_is_refused_for_a_real(self, capsys, entry):
+        name, _, _, outcome = self.ENTRIES[entry]
+        for value in (1j, 1 + 0j, np.complex128(1)):
+            assert outcome(capsys, value) == f"{name} must be a real number, got {value!r}"
+
+    @pytest.mark.parametrize("value,read", NOT_FINITE,
+                             ids=["nan", "inf", "-inf", "10**400", "-10**400"])
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_not_finite_is_refused(self, capsys, entry, value, read):
+        name, kind, bound, outcome = self.ENTRIES[entry]
+        rule = f"{name} must be finite{f' and {bound}' if bound else ''}"
+        assert outcome(capsys, value) == f"{rule}, got {kind(read)}"
+
+    @pytest.mark.parametrize("entry", [e for e, spec in ENTRIES.items() if spec[2]])
+    def test_bound_is_refused_on_its_edge(self, capsys, entry):
+        name, _, bound, outcome = self.ENTRIES[entry]
+        for value in self.PAST_BOUND[bound]:
+            assert outcome(capsys, value) == (
+                f"{name} must be finite and {bound}, got {float(value)}")
+
+    @pytest.mark.parametrize("entry", [e for e, spec in ENTRIES.items() if spec[1] is complex])
+    def test_complex_parts_must_be_finite(self, capsys, entry):
+        name, _, _, outcome = self.ENTRIES[entry]
+        for value in (complex(0.5, math.nan), complex(0.5, -math.inf)):
+            assert outcome(capsys, value) == f"{name} must be finite, got {value}"
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_numpy_scalars_are_accepted(self, capsys, entry):
+        kind, outcome = self.ENTRIES[entry][1], self.ENTRIES[entry][3]
+        scalars = [int, float, np.float64, np.float32, np.int64, np.int8, np.uint16]
+        if kind is complex:
+            scalars += [complex, np.complex128, np.complex64]
+        for scalar in scalars:
+            assert outcome(capsys, scalar(1)) is None, scalar
+
+    def test_values_are_held_as_python_scalars(self):
+        params = ModelParams(alpha=np.float32(0.5), omega=np.int64(2), g=np.complex64(0.25j),
+                             k=np.int64(2), dim=12)
+        assert (params.alpha, params.omega, params.g) == (0.5, 2.0, 0.25j)
+        assert [type(v) for v in (params.alpha, params.omega, params.g)] == [float, float, complex]
+        spec = SweepSpec(base=params, param="omega", lo=np.int64(1), hi=np.float32(2), steps=2,
+                         levels=2)
+        assert (type(spec.lo), type(spec.hi)) == (float, float)
+        report = _sectors.verify_band(params, generalized_parity_signs(2, 12), np.float32(0.5))
+        assert type(report.tolerance) is float and report.to_dict()["tolerance"] == 0.5
+
+    def test_boolean_tolerance_is_no_tolerance(self):
+        # True read as 1.0 passed the bosonic parity at k = 2, which fails at 1e-10.
+        blocks = build_blocks(ModelParams(alpha=1.0, omega=1.0, g=0.5, k=2, dim=8))
+        assert not verify_involution_solution(blocks, bosonic_parity(8), tol=1e-10).passed
+        with pytest.raises(ValueError, match="^tolerance must be a real number, got True$"):
+            verify_involution_solution(blocks, bosonic_parity(8), tol=True)
+
+    SWEEP = ["sweep", *MODEL, "--levels", "2", "--steps", "3"]
+    #: Flag: (parameter, bound, the subcommand's arguments without it).
+    FLAGS = {
+        "--alpha": ("alpha", "", ["spectrum", *MODEL, "--levels", "2"]),
+        "--omega": ("omega", "> 0", ["verify", *MODEL]),
+        "--lo": ("lo", ">= 0", [*SWEEP, "--param", "g", "--hi", "2"]),
+        "--hi": ("hi", "", [*SWEEP, "--param", "alpha", "--lo", "0"]),
+        "--t-max": ("t-max", "> 0", ["evolve", *MODEL, "--steps", "2"]),
+        "--tol": ("tolerance", ">= 0", ["verify", *MODEL]),
+    }
+
+    @pytest.mark.parametrize("flag", list(FLAGS))
+    def test_command_line_gives_the_library_text(self, capsys, flag):
+        name, bound, argv = self.FLAGS[flag]
+        rule = f"{name} must be finite{f' and {bound}' if bound else ''}"
+        outcome = command(lambda token: [*argv, f"{flag}={token}"])
+        edges = [str(v) for v in self.PAST_BOUND[bound]]
+        for token in ["nan", "inf", "-inf", "1e400", "-1e400", *edges]:
+            assert outcome(capsys, token) == f"{rule}, got {float(token)}", token
+
+    @pytest.mark.parametrize("flag", list(FLAGS))
+    def test_command_line_accepts_a_valid_value(self, capsys, flag):
+        argv = self.FLAGS[flag][2]
+        assert command(lambda token: [*argv, f"{flag}={token}"])(capsys, "1") is None
 
 
 def value_file(path, kind, token):

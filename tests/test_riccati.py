@@ -11,6 +11,7 @@ from krabi.linalg import eig_hermitian
 from krabi.model import ModelParams, build_blocks, build_full
 from krabi.parity import bosonic_parity, generalized_parity, two_photon_parity
 from krabi.riccati import (
+    _spectra_match,
     block_diagonalize,
     residual,
     similarity_transform,
@@ -103,26 +104,25 @@ class TestVerification:
 
     def test_spectra_match_filled_for_passing_candidate(self):
         params = seeded_params(4, 2, 16)
-        report = verify_involution_solution(build_blocks(params), generalized_parity(2, 16),
-                                            params=params, compare_spectra=True)
-        assert report.spectra_match is not None
-        assert report.spectra_match <= 1e-10
+        blocks, x = build_blocks(params), generalized_parity(2, 16)
+        assert verify_involution_solution(blocks, x, params=params).passed
+        assert _spectra_match(blocks, x) <= 1e-10
 
     def test_model_whose_squares_overflow_passes(self):
         # ||h_plus||^2 is past the float64 range at 1e200; the norms are not.
         params = ModelParams(alpha=1.0, omega=1e200, g=1e200, k=1, dim=4)
-        report = verify_involution_solution(build_blocks(params), generalized_parity(1, 4),
-                                            compare_spectra=True)
+        blocks, x = build_blocks(params), generalized_parity(1, 4)
+        report = verify_involution_solution(blocks, x)
         assert report.passed and report.relative_residual == 0.0
         assert report.involution_defect == report.intertwining_defect == 0.0
-        assert report.spectra_match <= 1e-12 * 1e200
+        assert _spectra_match(blocks, x) <= 1e-12 * 1e200
 
     def test_model_whose_norm_scale_overflows_is_refused(self):
         # ||h_plus|| and ||h_minus|| are past the float64 range; the identity is no
         # solution here (intertwining defect 4.0e307), and once the scale was inf it passed.
         blocks = build_blocks(ModelParams(alpha=1.0, omega=1e306, g=1e305, k=2, dim=40))
         with pytest.raises(ValueError, match=r"^the model overflows float64: \|\|h_plus\|\| "
-                           r"\+ \|\|h_minus\|\| \+ 2\*\|\|v\|\| = inf$"):
+                           r"\+ \|\|h_minus\|\| \+ 2\*\|alpha\|\*sqrt\(dim\) = inf$"):
             block_diagonalize(blocks, np.eye(40))
         with pytest.raises(ValueError, match="^the model overflows float64: "):
             verify_involution_solution(blocks, generalized_parity(2, 40))

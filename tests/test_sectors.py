@@ -127,7 +127,7 @@ class TestVerifyBand:
         # |g|*amp_p overflows; so does the norm scale, which the verdict rule refuses.
         params = ModelParams(alpha=1.0, omega=1.0, g=1e308, k=2, dim=8)
         with pytest.raises(ValueError, match=r"^the model overflows float64: \|\|h_plus\|\| "
-                           r"\+ \|\|h_minus\|\| \+ 2\*\|\|v\|\| = inf$"):
+                           r"\+ \|\|h_minus\|\| \+ 2\*\|alpha\|\*sqrt\(dim\) = inf$"):
             _sectors.verify_band(params, generalized_parity_signs(2, 8), 0.0)
 
     def test_zero_coupling_passes_any_sign_vector(self):

@@ -258,8 +258,14 @@ class TestSweep:
                                        (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
     def test_range_with_non_finite_width_rejected(self, lo, hi):
         # np.linspace over such a range warns of overflow and yields nan grid values.
-        with pytest.raises(ValueError, match="hi - lo must be finite"):
+        if math.isfinite(lo) and math.isfinite(hi):
+            reason = f"sweep range hi - lo must be finite, got [{lo}, {hi}]"
+        else:  # a non-finite endpoint is refused by name
+            name, value = ("lo", lo) if not math.isfinite(lo) else ("hi", hi)
+            reason = f"{name} must be finite, got {value}"
+        with pytest.raises(ValueError) as exc:
             SweepSpec(base=self.BASE, param="alpha", lo=lo, hi=hi, steps=3, levels=2)
+        assert str(exc.value) == reason
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
