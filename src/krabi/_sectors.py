@@ -35,10 +35,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _eigh
+from .linalg import _eigh, _norm
 from .model import ModelParams
 from .parity import _lowering_band, generalized_parity_signs
-from .riccati import VerificationReport, _defect_norm, _require_passed
+from .riccati import VerificationReport, _require_passed
 
 
 def band(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -66,8 +66,8 @@ def verify_band(params: ModelParams, signs: np.ndarray, tol: float) -> Verificat
     coupling_norm = abs_g * float(np.linalg.norm(amplitudes))
     block_norm = math.hypot(diagonal_norm, math.sqrt(2.0) * coupling_norm)
     scale = 2.0 * block_norm + 2.0 * abs(params.alpha) * math.sqrt(dim)
-    involution_defect = _defect_norm(signs * signs - 1.0)
-    intertwining_defect = math.sqrt(2.0) * abs_g * _defect_norm(
+    involution_defect = _norm(signs * signs - 1.0)
+    intertwining_defect = math.sqrt(2.0) * abs_g * _norm(
         amplitudes * (signs[:-k] + signs[k:]))
     return VerificationReport.from_norms(
         residual_norm=math.hypot(abs(params.alpha) * involution_defect, intertwining_defect),

@@ -3,15 +3,18 @@
 Every operator in this package is a plain square ``numpy.ndarray`` of
 ``complex128`` entries in row-major (C) order. The functions here add the
 validation, error reporting and text serialization that the rest of the
-package relies on. Once inputs are validated, internal code uses numpy
-arithmetic directly.
+package relies on. :func:`_array` is the one rule for array arguments, every
+matrix (through :func:`as_square_complex`) and vector: numeric entries, the
+exact shape and finite values. Once inputs are validated, internal code uses
+numpy arithmetic directly.
 
 The eigensolver targets desk-scale problems (dimension up to about 1024)
 and is deterministic: identical input bytes produce identical output bytes
 on a given platform. Callers that read only eigenvalues pass
 ``vectors=False``, which skips building the eigenvector matrix. Norms go
 through :func:`_norm`, which stays finite where the sum of squares of
-finite entries overflows but the norm does not. :func:`_checked_hermitian`
+finite entries overflows but the norm does not, and nonzero where it
+underflows but the norm does not. :func:`_checked_hermitian`
 holds the package's one Hermiticity rule; the eigensolver and
 :class:`krabi.model.BlockOperator` both apply it. One writer and one
 reader serve matrix and vector files, which hold finite values only: a round
@@ -31,35 +34,45 @@ from .errors import EigenSolverError, HermiticityError, ShapeError
 HERMITICITY_RTOL = 1e-12
 
 
-def as_square_complex(a, name: str = "matrix") -> np.ndarray:
-    """Return ``a`` as a square, C-contiguous ``complex128`` array.
+_SHAPES = {1: "a vector", 2: "a square matrix"}
 
-    Raises ShapeError if the input is not a finite square matrix.
-    """
+
+def _array(a, name: str, ndim: int) -> np.ndarray:
+    """The one array rule: ``a`` as a nonempty, finite, C-contiguous ``complex128`` vector
+    (``ndim`` 1) or square matrix (2), not copied if it is one. ValueError naming ``name``
+    unless its entries are numbers; ShapeError for any other shape, or a nan or inf entry."""
     try:
-        arr = np.ascontiguousarray(np.asarray(a), dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise ShapeError(f"{name} is not convertible to a complex matrix: {exc}") from exc
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise ShapeError(f"{name} must be a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(np.float64))):
+        arr = np.asarray(a)
+    except ValueError:
+        raise ValueError(f"{name} must be an array of numbers, got a ragged sequence") from None
+    if arr.dtype.kind not in "iufc":
+        raise ValueError(f"{name} must be an array of numbers, got dtype {arr.dtype}")
+    if arr.ndim != ndim or arr.size == 0 or arr.shape[0] != arr.shape[-1]:
+        raise ShapeError(f"{name} must be {_SHAPES[ndim]}, got shape {arr.shape}")
+    arr = np.ascontiguousarray(arr, dtype=np.complex128)
+    if not np.isfinite(arr.view(np.float64)).all():
         raise ShapeError(f"{name} contains non-finite entries")
     return arr
 
 
-def _norm(a) -> float:
-    """Frobenius norm of ``a``, also where the plain sum of squares overflows.
+def as_square_complex(a, name: str = "matrix") -> np.ndarray:
+    """``a`` as a square matrix by :func:`_array`, the check of every matrix argument."""
+    return _array(a, name, 2)
 
-    Only an infinite plain norm of finite entries is recomputed, on ``a``
-    divided by its largest modulus; the result is infinite only when the
-    norm itself exceeds the float64 range.
+
+def _norm(a) -> float:
+    """Frobenius norm of ``a``, also where the plain sum of squares overflows or underflows.
+
+    A plain norm that is infinite for finite entries, or 0 for nonzero ones, is taken again
+    on ``a`` over its largest modulus (on ``|a|`` for underflow: ``a / peak`` overflows for
+    complex ``a`` at a subnormal peak); it stays infinite only past the float64 range.
     """
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(a))
-        if norm == math.inf:
+        if norm == math.inf or (norm == 0.0 and a.any()):
             peak = float(np.max(np.abs(a)))
             if math.isfinite(peak):
-                norm = peak * float(np.linalg.norm(a / peak))
+                norm = peak * float(np.linalg.norm(a / peak if norm else np.abs(a) / peak))
     return norm
 
 
@@ -158,13 +171,9 @@ def load_matrix(path) -> np.ndarray:
 
 
 def dump_vector(v, path) -> None:
-    """Write a nonempty finite complex vector, flattened, to ``path`` in the plain-text format."""
-    v = np.ascontiguousarray(np.asarray(v), dtype=np.complex128).reshape(-1)
-    if v.size == 0:
-        raise ShapeError("cannot dump an empty vector")
-    if not np.all(np.isfinite(v.view(np.float64))):
-        raise ShapeError("cannot dump a vector with non-finite entries")
-    _dump(v, path)
+    """Write a nonempty finite complex vector, 1-D as :func:`_array` demands, to ``path`` in
+    the plain-text format. Nothing is written for a refused ``v``."""
+    _dump(_array(v, "v", 1), path)
 
 
 def load_vector(path) -> np.ndarray:

@@ -94,10 +94,10 @@ class RestrictedOps:
 
         <n-1, l| a^k |n, l> = sqrt((k*n + l - 1)! / (k*(n-1) + l - 1)!)
 
-    computed as a product of square roots of consecutive integers, which
-    stays finite for dim up to about 1024. Both must agree with the
-    projector-compressed a^dag a and a^k; that agreement is asserted in
-    the test suite rather than assumed.
+    computed as a product of square roots of consecutive integers: each
+    entry is below dim**(k/2), so the band is finite for every k <= 100 at
+    dim 10**6. Both must agree with the projector-compressed a^dag a and
+    a^k; that agreement is asserted in the test suite rather than assumed.
     """
 
     k: int

@@ -59,15 +59,6 @@ def residual(blocks: BlockOperator, x) -> np.ndarray:
     return _defects(blocks, _checked_candidate(blocks, x))[2]
 
 
-def _defect_norm(a) -> float:
-    """_norm of a defect, taken on ``a`` over its largest modulus where squares underflow to 0."""
-    norm = _norm(a)
-    if norm == 0.0 and np.any(a):
-        peak = np.max(np.abs(a))  # not a / peak: it overflows for complex a at a subnormal peak
-        norm = float(peak * np.linalg.norm(np.abs(a) / peak))
-    return norm
-
-
 def _is_involution(defect: float, x_norm: float, tol: float) -> bool:
     """``||x^2 - I|| <= tol * max(1, ||x||^2)``, divided through by max(1, ||x||).
 
@@ -176,8 +167,8 @@ def verify_involution_solution(
     involution, intertwining, res = _defects(blocks, x)
     block_scale = _norm(blocks.h_plus) + _norm(blocks.h_minus)
     return VerificationReport.from_norms(
-        residual_norm=_defect_norm(res), involution_defect=_defect_norm(involution),
-        intertwining_defect=_defect_norm(intertwining), x_norm=_norm(x),
+        residual_norm=_norm(res), involution_defect=_norm(involution),
+        intertwining_defect=_norm(intertwining), x_norm=_norm(x),
         scale=block_scale + 2.0 * abs(blocks.alpha) * np.sqrt(blocks.dim),
         block_scale=block_scale, tol=tol, params=params)
 

@@ -44,7 +44,7 @@ from ._format import WORDS, format_fields
 from ._sectors import (SectorSystem, _verified_signs, fock_mask, sector_axes, sector_eigensystem,
                        sector_levels, to_sectors)
 from .errors import ShapeError, _levels, _number, _steps
-from .linalg import eig_hermitian
+from .linalg import _array, eig_hermitian
 from .model import ModelParams, build_blocks
 from .riccati import _decoupled_blocks
 
@@ -104,11 +104,9 @@ class EvolutionSpec:
     steps: int
 
     def __post_init__(self):
-        state = np.ascontiguousarray(np.asarray(self.initial_state), dtype=np.complex128)
-        if state.ndim != 1 or state.size < 2:
-            raise ShapeError(f"initial state must be a vector, got shape {state.shape}")
-        if not np.all(np.isfinite(state.view(np.float64))):
-            raise ValueError("initial state contains non-finite entries")
+        state = _array(self.initial_state, "initial state", 1)
+        if state.size < 2:
+            raise ShapeError(f"initial state must have at least 2 components, got {state.size}")
         norm = float(np.linalg.norm(state))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"initial state must be normalized to 1, got norm {norm!r}")
@@ -292,13 +290,13 @@ def trajectory_chunks(times, states) -> Iterator[str]:
     most ``_CHUNK_VALUES`` values, at least one step) is laid out as a
     fixed-width matrix of uint32 words, one row per line with zero-padded
     fields, and compacted once. Floats are formatted by a vectorized kernel
-    whose bytes equal ``'%.16e' % x``. Raises ShapeError unless ``states`` is
-    a 2-D (times x components) array with one row per time.
+    whose bytes equal ``'%.16e' % x``. Raises ShapeError unless ``times`` is
+    1-D and ``states`` a 2-D (times x components) array with one row per time.
     """
     states = np.ascontiguousarray(states, dtype=np.complex128)
     times = np.asarray(times, dtype=np.float64)
-    if states.ndim != 2 or len(times) != len(states):
-        raise ShapeError(f"got {len(times)} times for states of shape {states.shape}")
+    if states.ndim != 2 or times.shape != states.shape[:1]:
+        raise ShapeError(f"got times of shape {times.shape} for states of shape {states.shape}")
     return _csv_chunks(times, lambda start, stop: states[start:stop], states.shape[-1])
 
 

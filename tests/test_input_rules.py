@@ -1,9 +1,10 @@
 """One check per input rule, reached through every entry point with the same text.
 
 Step counts are checked by errors._steps, real and complex scalars by
-errors._number, the values of a vector or matrix file by linalg._load, and a
-parity's sign vector by the band verdict (_sectors.verify_band). Each table below sends one rule's bad inputs through
-every entry point that reaches it. On the command line a refused input is
+errors._number, vector and matrix arguments by linalg._array, the values of a
+vector or matrix file by linalg._load, and a parity's sign vector by the band
+verdict (_sectors.verify_band). Each table below sends one rule's bad inputs
+through every entry point that reaches it. On the command line a refused input is
 one "error:" line on stderr and exit code 2.
 """
 
@@ -13,12 +14,14 @@ import numpy as np
 import pytest
 
 from krabi import _sectors
-from krabi.errors import ShapeError, SolutionError
-from krabi.linalg import dump_vector, load_matrix, load_vector
+from krabi.errors import HermiticityError, ShapeError, SolutionError
+from krabi.fock import power_k
+from krabi.linalg import _norm, dump_matrix, dump_vector, eig_hermitian, load_matrix, load_vector
 from krabi.model import BlockOperator, ModelParams, build_blocks
 from krabi.parity import bosonic_parity, generalized_parity, generalized_parity_signs
-from krabi.riccati import _require_passed, block_diagonalize, verify_involution_solution
-from krabi.spectra import EvolutionSpec, SweepSpec, ground_state, sector_spectrum
+from krabi.riccati import (_require_passed, block_diagonalize, residual, similarity_transform,
+                           verify_involution_solution)
+from krabi.spectra import EvolutionSpec, SweepSpec, ground_state, sector_spectrum, trajectory_csv
 from test_cli import MODEL, invoke
 
 PARAMS = ModelParams(alpha=1.0, omega=1.0, g=0.5, k=2, dim=12)
@@ -192,6 +195,108 @@ class TestScalars:
         assert command(lambda token: [*argv, f"{flag}={token}"])(capsys, "1") is None
 
 
+class TestArrays:
+    BLOCKS = build_blocks(PARAMS)
+    #: A value valid at every entry point of each kind: the generalized parity at k = 2,
+    #: dim 12 (a Hermitian involution that solves BLOCKS), and a normalized state.
+    VALID = {2: np.diag(generalized_parity_signs(2, 12)), 1: np.array([1, 0])}
+    #: Entry point: (parameter, 1 for a vector or 2 for a square matrix, outcome for a
+    #: value and a path to write to).
+    ENTRIES = {
+        "eig_hermitian": ("a", 2, library(lambda v, path: eig_hermitian(v))),
+        "BlockOperator h_plus": ("h_plus", 2, library(lambda v, path: BlockOperator(
+            h_plus=v, h_minus=TestArrays.BLOCKS.h_minus, alpha=1.0))),
+        "BlockOperator h_minus": ("h_minus", 2, library(lambda v, path: BlockOperator(
+            h_plus=TestArrays.BLOCKS.h_plus, h_minus=v, alpha=1.0))),
+        "residual": ("x", 2, library(lambda v, path: residual(TestArrays.BLOCKS, v))),
+        "verify_involution_solution": ("x", 2, library(
+            lambda v, path: verify_involution_solution(TestArrays.BLOCKS, v))),
+        "block_diagonalize": ("x", 2, library(
+            lambda v, path: block_diagonalize(TestArrays.BLOCKS, v))),
+        "similarity_transform": ("x", 2, library(lambda v, path: similarity_transform(v))),
+        "power_k": ("op", 2, library(lambda v, path: power_k(v, 2))),
+        "dump_matrix": ("a", 2, library(dump_matrix)),
+        "EvolutionSpec": ("initial state", 1, library(
+            lambda v, path: EvolutionSpec(initial_state=v, dt=0.1, steps=1))),
+        "dump_vector": ("v", 1, library(dump_vector)),
+    }
+    #: Values whose entries are no numbers, and what the text says they are.
+    NOT_NUMBERS = [(None, "dtype object"), ("ab", "dtype <U2"), (True, "dtype bool"),
+                   ([[True]], "dtype bool"), ([1, None], "dtype object"),
+                   ([[1.0, 2.0], [3.0]], "a ragged sequence")]
+    #: For each kind, values of another shape: a scalar, the wrong number of
+    #: dimensions (no flattening, no promotion), a non-square matrix, an empty array.
+    WRONG_SHAPES = {2: [1.0, np.ones(12), np.ones((1, 12, 12)), np.ones((12, 11)),
+                        np.zeros((0, 0))],
+                    1: [1.0, np.eye(2), np.array([[1.0, 0.0]]), np.zeros(0)]}
+
+    def refused(self, capsys, tmp_path, entry, value):
+        """The entry point's text for ``value``, after checking that it wrote nothing."""
+        path = tmp_path / "out.txt"
+        text = self.ENTRIES[entry][2](capsys, value, path)
+        assert not path.exists()
+        return text
+
+    @pytest.mark.parametrize("value,got", NOT_NUMBERS, ids=[repr(v) for v, _ in NOT_NUMBERS])
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_not_numbers_are_refused_by_name(self, capsys, tmp_path, entry, value, got):
+        name = self.ENTRIES[entry][0]
+        assert self.refused(capsys, tmp_path, entry, value) == (
+            f"{name} must be an array of numbers, got {got}")
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_wrong_shape_is_refused_by_name(self, capsys, tmp_path, entry):
+        name, ndim, _ = self.ENTRIES[entry]
+        noun = "a square matrix" if ndim == 2 else "a vector"
+        for value in self.WRONG_SHAPES[ndim]:
+            assert self.refused(capsys, tmp_path, entry, value) == (
+                f"{name} must be {noun}, got shape {np.shape(value)}")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)], ids=repr)
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_non_finite_entries_are_refused(self, capsys, tmp_path, entry, bad):
+        name, ndim, _ = self.ENTRIES[entry]
+        value = self.VALID[ndim].astype(np.complex128)
+        value.reshape(-1)[-1] = bad
+        assert self.refused(capsys, tmp_path, entry, value) == f"{name} contains non-finite entries"
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_numeric_arrays_are_accepted(self, capsys, tmp_path, entry):
+        _, ndim, outcome = self.ENTRIES[entry]
+        valid, written = self.VALID[ndim], set()
+        for value in [valid.tolist()] + [valid.astype(t) for t in (
+                np.int64, np.int8, np.float32, np.float64, np.complex64, np.complex128)]:
+            path = tmp_path / "out.txt"
+            assert outcome(capsys, value, path) is None, value
+            if path.exists():
+                written.add(path.read_bytes())
+                path.unlink()
+        assert len(written) == (1 if entry.startswith("dump") else 0)
+
+    TINY = np.array([[0.0, 1e-200], [0.0, 0.0]])
+
+    def test_norm_of_entries_whose_squares_underflow(self):
+        assert _norm(np.array([3e-200, 4e-200])) == pytest.approx(5e-200, rel=1e-15)
+        assert _norm(np.array([5e-324j])) == 5e-324
+        assert _norm(np.zeros(3)) == 0.0
+
+    def test_non_hermitian_matrix_of_tiny_entries_is_refused(self):
+        # ||a - a^dag|| = 1.4e-200 underflowed to 0, so this nilpotent matrix passed as Hermitian.
+        with pytest.raises(HermiticityError, match=r"^matrix is not Hermitian: defect 1\.414e-200 "
+                           r"exceeds 1\.0e-12 \* \|\|a\|\| = 1\.000e-212$"):
+            eig_hermitian(self.TINY)
+        with pytest.raises(HermiticityError, match=r"\|\|h_plus\|\|"):
+            BlockOperator(h_plus=self.TINY, h_minus=np.zeros((2, 2)), alpha=1.0)
+        with pytest.raises(SolutionError, match="^x is not Hermitian; closed-form inverse "):
+            similarity_transform(self.TINY)
+
+    @pytest.mark.parametrize("times,states", [(None, None), (np.float64(1.0), np.zeros((1, 2)))],
+                             ids=["None", "scalar time"])
+    def test_trajectory_times_must_be_a_vector(self, times, states):
+        with pytest.raises(ShapeError, match=r"^got times of shape \(\) for states of shape "):
+            trajectory_csv(times, states)
+
+
 def value_file(path, kind, token):
     """A 2x2 matrix or a 24-component vector (a state of MODEL) file, all 0 but the
     first entry's imaginary part, which is ``token``."""
@@ -227,7 +332,7 @@ class TestFileValues:
                                        complex(-np.inf, 1.0)])
     def test_dump_vector_writes_no_file(self, tmp_path, value):
         path = tmp_path / "v.txt"
-        with pytest.raises(ShapeError, match="^cannot dump a vector with non-finite entries$"):
+        with pytest.raises(ShapeError, match="^v contains non-finite entries$"):
             dump_vector(np.array([1.0, value]), path)
         assert not path.exists()
 
