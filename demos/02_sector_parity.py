@@ -12,7 +12,6 @@ from krabi import (
     bosonic_parity_signs,
     decompose,
     generalized_parity_signs,
-    restricted_ops,
     two_photon_parity_signs,
 )
 
@@ -25,11 +24,6 @@ for l in range(1, k + 1):
 
 total = sum(sd.projector_diagonal(l) for l in range(1, k + 1))
 print("projector diagonals sum to:", total.tolist(), "(resolution of identity)")
-
-ops = restricted_ops(sd)
-print("\nrestricted number operators (diagonals):")
-for l in range(1, k + 1):
-    print(f"  l={l}: {ops.number_diagonals[l - 1].tolist()}")
 
 print("\ngeneralized parity signs by Fock index:")
 for kk in (1, 2, 3):

@@ -12,7 +12,6 @@ from .errors import EigenSolverError, HermiticityError, ShapeError, SolutionErro
 from .fock import annihilation, creation, number, power_k
 from .model import BlockOperator, ModelParams, build_blocks, build_full, coupling_term
 from .parity import (
-    RestrictedOps,
     SectorDecomposition,
     bosonic_parity,
     bosonic_parity_signs,
@@ -21,7 +20,6 @@ from .parity import (
     generalized_parity_signs,
     partial_parity,
     partial_parity_signs,
-    restricted_ops,
     two_photon_parity,
     two_photon_parity_signs,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "EvolutionSpec",
     "HermiticityError",
     "ModelParams",
-    "RestrictedOps",
     "SectorDecomposition",
     "ShapeError",
     "SolutionError",
@@ -78,7 +75,6 @@ __all__ = [
     "partial_parity_signs",
     "power_k",
     "residual",
-    "restricted_ops",
     "sector_spectrum",
     "similarity_transform",
     "sweep",

@@ -19,6 +19,10 @@ as one (2, k, n) stack, n = ceil(dim/k), laid out by :func:`sector_axes`
 (:mod:`krabi.parity` keeps the index form p = k*n + l - 1), and solved in
 one call; when k does not divide dim, each short sector ends in a pad, a
 decoupled state whose level lies above the block's spectrum and is dropped.
+The amplitudes amp_p and the sector operators have their one home here; the
+test suite checks each sector tridiagonal entrywise against the projector
+compression (:meth:`krabi.parity.SectorDecomposition.compress`) of the
+gauge-rotated dense decoupled blocks.
 
 Verification runs on the band as well, in O(dim): the parity's three defects
 are computed there and judged by
@@ -37,8 +41,25 @@ import numpy as np
 
 from .linalg import _eigh, _norm
 from .model import ModelParams
-from .parity import _lowering_band, generalized_parity_signs
+from .parity import generalized_parity_signs
 from .riccati import VerificationReport, _require_passed
+
+
+def _lowering_band(k: int, dim: int) -> np.ndarray:
+    """amp_p = <p| a^k |p+k> = sqrt((p+1)(p+2)...(p+k)) for p < dim - k.
+
+    A product of k square roots of consecutive integers, never the
+    factorials themselves. Entry p links sector level n = p // k of sector
+    l = p % k + 1 to level n + 1. An amplitude past the float64 range is
+    inf, without a warning, and the verdict of :func:`verify_band` refuses
+    the model: at k = 256, dim = 512 every amplitude from p = 139 on is inf.
+    """
+    roots = np.sqrt(np.arange(1, dim, dtype=np.float64))  # roots[i] = sqrt(i + 1)
+    band = roots[: dim - k].copy()
+    with np.errstate(over="ignore"):
+        for j in range(1, k):
+            band *= roots[j : dim - k + j]
+    return band
 
 
 def band(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -63,15 +84,17 @@ def verify_band(params: ModelParams, signs: np.ndarray, tol: float) -> Verificat
     k, dim, abs_g = params.k, params.dim, abs(params.g)
     # ||(0, 1, ..., dim - 1)|| in closed form.
     diagonal_norm = params.omega * math.sqrt((dim - 1) * dim * (2 * dim - 1) / 6)
-    coupling_norm = abs_g * float(np.linalg.norm(amplitudes))
+    coupling_norm = abs_g * _norm(amplitudes)
     block_norm = math.hypot(diagonal_norm, math.sqrt(2.0) * coupling_norm)
     scale = 2.0 * block_norm + 2.0 * abs(params.alpha) * math.sqrt(dim)
     involution_defect = _norm(signs * signs - 1.0)
-    intertwining_defect = math.sqrt(2.0) * abs_g * _norm(
-        amplitudes * (signs[:-k] + signs[k:]))
+    # An inf amplitude makes the scale inf; its product with a zero defect is nan, unused.
+    with np.errstate(invalid="ignore"):
+        intertwining_defect = math.sqrt(2.0) * abs_g * _norm(
+            amplitudes * (signs[:-k] + signs[k:]))
     return VerificationReport.from_norms(
         residual_norm=math.hypot(abs(params.alpha) * involution_defect, intertwining_defect),
-        scale=scale, involution_defect=involution_defect, x_norm=float(np.linalg.norm(signs)),
+        scale=scale, involution_defect=involution_defect, x_norm=_norm(signs),
         intertwining_defect=intertwining_defect, block_scale=2.0 * block_norm, tol=tol,
         params=params)
 

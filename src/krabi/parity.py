@@ -13,6 +13,12 @@ the Fock basis, Hermitian, and squares to the identity. It is stored as an
 integer sign vector; dense complex views are provided for matrix algebra.
 For k = 1 it reduces to the bosonic parity diag((-1)^n) and for k = 2 to
 the two-photon parity diag((-1)^(n(n-1)/2)).
+
+The operators restricted to one sector, and the band amplitudes of a^k,
+have one home: :mod:`krabi._sectors`, whose sector tridiagonals are checked
+entrywise against :meth:`SectorDecomposition.compress` of the dense blocks
+in the test suite. Here the decomposition's projectors and compression
+serve as that oracle.
 """
 
 from __future__ import annotations
@@ -81,73 +87,6 @@ def decompose(k: int, dim: int) -> SectorDecomposition:
     k, dim = _k_dim(k, dim)
     members = tuple(np.arange(l - 1, dim, k, dtype=np.int64) for l in range(1, k + 1))
     return SectorDecomposition(k=k, dim=dim, members=members)
-
-
-@dataclass(frozen=True)
-class RestrictedOps:
-    """Number and k-step lowering operators restricted to each sector.
-
-    On sector l the number operator is diagonal with integer entries
-    k*n + l - 1, the sector's Fock indices: ``number_diagonals[l-1]`` is
-    the decomposition's ``members[l-1]``. The k-step lowering operator has
-    the single nonzero band
-
-        <n-1, l| a^k |n, l> = sqrt((k*n + l - 1)! / (k*(n-1) + l - 1)!)
-
-    computed as a product of square roots of consecutive integers: each
-    entry is below dim**(k/2), so the band is finite for every k <= 100 at
-    dim 10**6. Both must agree with the projector-compressed a^dag a and
-    a^k; that agreement is asserted in the test suite rather than assumed.
-    """
-
-    k: int
-    dim: int
-    sector_dims: tuple
-    number_diagonals: tuple
-    lowering_ops: tuple
-
-    def number_op(self, l: int) -> np.ndarray:
-        """Dense complex number operator on sector l."""
-        l = _sector_label(l, self.k)
-        return np.diag(self.number_diagonals[l - 1].astype(np.complex128))
-
-    def lowering_op(self, l: int) -> np.ndarray:
-        """Dense complex k-step lowering operator on sector l."""
-        l = _sector_label(l, self.k)
-        return self.lowering_ops[l - 1]
-
-
-def _lowering_band(k: int, dim: int) -> np.ndarray:
-    """<p| a^k |p+k> = sqrt((p+1)(p+2)...(p+k)) for p < dim - k.
-
-    A product of k square roots of consecutive integers, never the
-    factorials themselves. Entry p links sector level n = p // k of sector
-    l = p % k + 1 to level n + 1.
-    """
-    roots = np.sqrt(np.arange(1, dim, dtype=np.float64))  # roots[i] = sqrt(i + 1)
-    band = roots[: dim - k].copy()
-    for j in range(1, k):
-        band *= roots[j : dim - k + j]
-    return band
-
-
-def restricted_ops(sd: SectorDecomposition) -> RestrictedOps:
-    """Formula-built per-sector number and k-step lowering operators."""
-    k = sd.k
-    band = _lowering_band(k, sd.dim)
-    lowering = []
-    for l in range(1, k + 1):
-        size = sd.sector_dims[l - 1]
-        a_l = np.zeros((size, size), dtype=np.complex128)
-        a_l[np.arange(size - 1), np.arange(1, size)] = band[l - 1 :: k]
-        lowering.append(a_l)
-    return RestrictedOps(
-        k=k,
-        dim=sd.dim,
-        sector_dims=sd.sector_dims,
-        number_diagonals=sd.members,
-        lowering_ops=tuple(lowering),
-    )
 
 
 def partial_parity_signs(sd: SectorDecomposition, l: int) -> np.ndarray:

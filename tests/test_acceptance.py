@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from krabi import _sectors
 from krabi.fock import annihilation, creation, power_k
 from krabi.linalg import eig_hermitian
 from krabi.model import ModelParams, build_blocks, build_full
@@ -19,7 +20,6 @@ from krabi.parity import (
     generalized_parity,
     generalized_parity_signs,
     partial_parity_signs,
-    restricted_ops,
     two_photon_parity,
     two_photon_parity_signs,
 )
@@ -67,14 +67,14 @@ def test_criterion_2_partial_parity_properties():
     for k in range(1, 7):
         for dim in (2 * k + 1, 10 * k + 3):
             sd = decompose(k, dim)
-            ops = restricted_ops(sd)
+            a_k = power_k(annihilation(dim), k)
             for l in range(1, k + 1):
                 signs = partial_parity_signs(sd, l)      # integer arithmetic
                 exact &= bool(np.array_equal(signs * signs, np.ones_like(signs)))
-                n_diag = ops.number_diagonals[l - 1]
+                n_diag = sd.members[l - 1]
                 exact &= bool(np.array_equal(signs * n_diag - n_diag * signs,
                                              np.zeros_like(n_diag)))
-                a_l = ops.lowering_op(l)
+                a_l = sd.compress(a_k, l, l)
                 j_l = np.diag(signs.astype(np.complex128))
                 worst_flip = max(worst_flip, float(np.linalg.norm(j_l @ a_l @ j_l + a_l)))
     ok = exact and worst_flip <= 1e-13
@@ -175,25 +175,33 @@ def test_criterion_6_decoupled_dynamics():
 
 
 def test_criterion_7_restricted_operator_formulas():
-    """Closed-form sector operators equal projector compression; no leakage.
+    """The sector core's tridiagonals equal projector compression; no leakage.
 
-    Band amplitudes reach ~1e5 at k = 6, dim = 64, so agreement is checked
-    entrywise at relative 1e-12 (with 1e-13 absolute floor for the exact
-    zeros); cross-sector blocks must vanish to 1e-13.
+    Each sector matrix t[b, l] of both blocks (pads cut off) is compared with
+    the compression of the gauge-rotated dense decoupled block conj(D)*top*D
+    or conj(D)*bottom*D. Band amplitudes reach ~1e5 at k = 6, dim = 64, so
+    agreement is checked entrywise at relative 1e-12 (with 1e-13 absolute
+    floor for the exact zeros); cross-sector blocks of a^dag a and a^k must
+    vanish to 1e-13.
     """
+    rng = np.random.default_rng(20240907)
     ok = True
     worst_cross = 0.0
     for k in range(1, 7):
         for dim in (2 * k + 3, 64):
             sd = decompose(k, dim)
-            ops = restricted_ops(sd)
+            params = draw_params(rng, k, dim)
+            _, t = _sectors._sector_matrices(params)
+            d = _sectors.gauge(params.g, k, dim)
+            blocks = block_diagonalize(build_blocks(params), generalized_parity(k, dim))
             n_full = creation(dim) @ annihilation(dim)
             a_k = power_k(annihilation(dim), k)
             for l in range(1, k + 1):
-                ok &= bool(np.allclose(ops.number_op(l), sd.compress(n_full, l, l),
-                                       rtol=1e-12, atol=1e-12))
-                ok &= bool(np.allclose(ops.lowering_op(l), sd.compress(a_k, l, l),
-                                       rtol=1e-12, atol=1e-13))
+                size = sd.sector_dims[l - 1]
+                for b, block in enumerate(blocks):
+                    gauged = d.conj()[:, None] * block * d
+                    ok &= bool(np.allclose(t[b, l - 1, :size, :size],
+                                           sd.compress(gauged, l, l), rtol=1e-12, atol=1e-13))
                 for m in range(1, k + 1):
                     if m == l:
                         continue
@@ -201,7 +209,7 @@ def test_criterion_7_restricted_operator_formulas():
                                       float(np.linalg.norm(sd.compress(n_full, l, m))),
                                       float(np.linalg.norm(sd.compress(a_k, l, m))))
     ok = ok and worst_cross <= 1e-13
-    report(7, ok, f"formulas match compression at 1e-12; cross-sector max "
+    report(7, ok, f"sector tridiagonals match compression at 1e-12; cross-sector max "
                   f"{worst_cross:.1e} <= 1e-13")
 
 

@@ -535,13 +535,18 @@ class TestOverflow:
                                          ["sweep", "--levels", "2", "--param", "alpha",
                                           "--lo", "0", "--hi", "1", "--steps", "2"],
                                          ["evolve", "--t-max", "1", "--steps", "1"]])
-    # A band entry overflows at 1e308; only the norm does at 5e307. The verdict rule
-    # refuses both by the norm scale.
-    @pytest.mark.parametrize("omega", ["1e308", "5e307"],
+    # A band entry overflows at omega = 1e308, and so do the amplitudes amp_p from p = 139
+    # on at k = 256, dim = 512; only the norm does at 5e307. The verdict rule refuses each
+    # by the norm scale, with no warning before it.
+    @pytest.mark.parametrize("model", [[*HUGE, "--omega", "1e308", "--g", "1"],
+                                       [*HUGE, "--omega", "5e307", "--g", "1"],
+                                       ["--k", "256", "--dim", "512", "--alpha", "1",
+                                        "--omega", "1", "--g", "0.1"]],
                              ids=["1e308-omega*(dim - 1) = inf",
-                                  "5e307-2*||h_pm|| + 2*|alpha|*sqrt(dim) = inf"])
-    def test_band_past_the_float64_range(self, capsys, command, omega):
-        argv = [command[0], *self.HUGE, "--omega", omega, "--g", "1", *command[1:]]
+                                  "5e307-2*||h_pm|| + 2*|alpha|*sqrt(dim) = inf",
+                                  "k=256-amp_p = inf"])
+    def test_band_past_the_float64_range(self, capsys, command, model):
+        argv = [command[0], *model, *command[1:]]
         assert invoke(capsys, argv) == (2, "", "error: the model overflows float64: "
                                         "||h_plus|| + ||h_minus|| + 2*|alpha|*sqrt(dim) = inf\n")
 

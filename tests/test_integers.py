@@ -17,14 +17,12 @@ from krabi.parity import (
     decompose,
     generalized_parity_signs,
     partial_parity_signs,
-    restricted_ops,
     two_photon_parity_signs,
 )
 from krabi.spectra import EvolutionSpec, SweepSpec, sector_spectrum
 
 BASE = ModelParams(alpha=0.5, omega=1.0, g=0.1, k=2, dim=8)
 SD = decompose(2, 8)
-OPS = restricted_ops(SD)
 STATE = np.eye(16)[0]
 
 # name -> function of the one integer argument under test; each accepts 2.
@@ -44,8 +42,6 @@ ENTRY_POINTS = {
     "projector_diagonal": SD.projector_diagonal,
     "compress": lambda x: SD.compress(np.eye(8), x, 1),
     "partial_parity_signs": lambda x: partial_parity_signs(SD, x),
-    "lowering_op": OPS.lowering_op,
-    "number_op": OPS.number_op,
     "sector_spectrum.m": lambda x: sector_spectrum(BASE, x),
     "SweepSpec.steps": lambda x: SweepSpec(base=BASE, param="g", lo=0.0, hi=0.1, steps=x,
                                            levels=2),

@@ -1,10 +1,11 @@
 """Sector decomposition and parity operators.
 
-The restricted operators built from the closed-form band amplitudes are
-checked against an independent route: projector compression of the dense
-a^dag a and a^k matrices. The generalized parity built from the sector
-definition is checked against the floor-based sign shortcut and against
-the dedicated k = 1 and k = 2 parities.
+The sector core's tridiagonals, built from the closed-form band amplitudes
+amp_p, are checked entrywise against an independent route: projector
+compression of the gauge-rotated dense decoupled blocks, whose a^dag a and
+a^k leave no cross-sector blocks. The generalized parity built from the
+sector definition is checked against the floor-based sign shortcut and
+against the dedicated k = 1 and k = 2 parities.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krabi import _sectors
 from krabi.errors import ShapeError
 from krabi.fock import annihilation, creation, power_k
 from krabi.model import ModelParams, build_blocks
@@ -23,10 +25,10 @@ from krabi.parity import (
     generalized_parity_signs,
     partial_parity,
     partial_parity_signs,
-    restricted_ops,
     two_photon_parity,
     two_photon_parity_signs,
 )
+from krabi.riccati import block_diagonalize
 
 
 class TestDecompose:
@@ -95,32 +97,23 @@ class TestDecompose:
 
 
 class TestRestrictedOps:
-    def test_even_sector_number_entries(self):
-        ops = restricted_ops(decompose(2, 10))
-        assert ops.number_diagonals[0].tolist() == [0, 2, 4, 6, 8]
-        assert ops.number_diagonals[1].tolist() == [1, 3, 5, 7, 9]
-
-    def test_band_amplitude_against_ladder_action(self):
-        # k=2, l=2, j=1 connects |3> to |1>: sqrt(3*2) from two lowerings.
-        ops = restricted_ops(decompose(2, 8))
-        assert ops.lowering_ops[1][0, 1] == pytest.approx(np.sqrt(6), abs=1e-14)
-        # k=3, l=1, j=1 connects |3> to |0>: sqrt(3*2*1).
-        ops3 = restricted_ops(decompose(3, 9))
-        assert ops3.lowering_ops[0][0, 1] == pytest.approx(np.sqrt(6), abs=1e-14)
+    """Operators restricted to one sector: the sector core's tridiagonals."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("dim", [None, 64])
     def test_formulas_match_projector_compression(self, k, dim):
         dim = 2 * k + 3 if dim is None else dim
+        params = ModelParams(alpha=0.7, omega=1.3, g=0.8 * np.exp(2.3j), k=k, dim=dim)
         sd = decompose(k, dim)
-        ops = restricted_ops(sd)
-        n_full = creation(dim) @ annihilation(dim)
-        a_k = power_k(annihilation(dim), k)
-        for l in range(1, k + 1):
-            compressed_n = sd.compress(n_full, l, l)
-            compressed_a = sd.compress(a_k, l, l)
-            assert np.allclose(ops.number_op(l), compressed_n, rtol=1e-12, atol=1e-12)
-            assert np.allclose(ops.lowering_op(l), compressed_a, rtol=1e-12, atol=1e-13)
+        _, t = _sectors._sector_matrices(params)
+        d = _sectors.gauge(params.g, k, dim)
+        blocks = block_diagonalize(build_blocks(params), generalized_parity(k, dim))
+        for b, block in enumerate(blocks):
+            gauged = d.conj()[:, None] * block * d
+            for l in range(1, k + 1):
+                size = sd.sector_dims[l - 1]
+                assert np.allclose(t[b, l - 1, :size, :size], sd.compress(gauged, l, l),
+                                   rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_cross_sector_blocks_vanish(self, k):
@@ -140,14 +133,14 @@ class TestPartialParity:
     @pytest.mark.parametrize("k,dim", [(1, 6), (2, 9), (4, 17), (6, 23)])
     def test_parity_properties(self, k, dim):
         sd = decompose(k, dim)
-        ops = restricted_ops(sd)
+        a_k = power_k(annihilation(dim), k)
         for l in range(1, k + 1):
             signs = partial_parity_signs(sd, l)
             assert np.array_equal(signs * signs, np.ones_like(signs))
-            n_diag = ops.number_diagonals[l - 1]
+            n_diag = sd.members[l - 1]
             assert np.array_equal(n_diag * signs, signs * n_diag)
             j_l = partial_parity(sd, l)
-            a_l = ops.lowering_op(l)
+            a_l = sd.compress(a_k, l, l)
             assert np.array_equal(j_l @ a_l @ j_l, -a_l)
 
     def test_sector_label_out_of_range(self):

@@ -19,6 +19,7 @@ from krabi.linalg import eig_hermitian
 from krabi.parity import (bosonic_parity_signs, generalized_parity, generalized_parity_signs,
                           two_photon_parity_signs)
 from krabi.riccati import block_diagonalize, residual, verify_involution_solution
+from krabi.spectra import ground_state, sector_spectrum
 
 
 def seeded_params(seed, k, dim):
@@ -129,6 +130,23 @@ class TestVerifyBand:
         with pytest.raises(ValueError, match=r"^the model overflows float64: \|\|h_plus\|\| "
                            r"\+ \|\|h_minus\|\| \+ 2\*\|alpha\|\*sqrt\(dim\) = inf$"):
             _sectors.verify_band(params, generalized_parity_signs(2, 8), 0.0)
+
+    def test_amplitudes_past_the_float64_range_raise_only_the_verdict(self):
+        # amp_p is inf from p = 139 on; warnings are errors in this suite.
+        params = ModelParams(alpha=1.0, omega=1.0, g=0.1, k=256, dim=512)
+        signs = generalized_parity_signs(256, 512)
+        for solve in (lambda: _sectors.verify_band(params, signs, 0.0),
+                      lambda: sector_spectrum(params, 2), lambda: ground_state(params)):
+            with pytest.raises(ValueError, match=r"^the model overflows float64: .* = inf$"):
+                solve()
+
+    def test_amplitudes_whose_squares_overflow_are_solved(self):
+        # amp_p reaches 4.8e165 at k = 125, dim = 512: finite, but ||amp||^2 is not.
+        params = ModelParams(alpha=1.0, omega=1.0, g=0.1, k=125, dim=512)
+        report = _sectors.verify_band(params, generalized_parity_signs(125, 512), 0.0)
+        assert report.passed and report.residual_norm == 0.0
+        top, bottom = _sectors.sector_levels(params)
+        assert np.all(np.isfinite(top)) and np.all(np.isfinite(bottom))
 
     def test_zero_coupling_passes_any_sign_vector(self):
         params = ModelParams(alpha=0.5, omega=1.0, g=0.0, k=2, dim=12)
