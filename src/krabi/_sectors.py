@@ -15,14 +15,17 @@ diagonal unitary D = diag(exp(i*arg(g)*p/k)) takes the phase off g: the band
 of conj(D) W D is the real |g|*amp_p. So each block is D times a direct sum
 of k real symmetric tridiagonals times conj(D), and its eigenvectors are D
 times real vectors supported on one sector. Both blocks' sectors are held
-as one (2, k, n) stack, n = ceil(dim/k), laid out by :func:`sector_axes`
-(:mod:`krabi.parity` keeps the index form p = k*n + l - 1), and solved in
-one call; when k does not divide dim, each short sector ends in a pad, a
-decoupled state whose level lies above the block's spectrum and is dropped.
-The amplitudes amp_p and the sector operators have their one home here; the
-test suite checks each sector tridiagonal entrywise against the projector
-compression (:meth:`krabi.parity.SectorDecomposition.compress`) of the
-gauge-rotated dense decoupled blocks.
+as their band (:func:`sector_band`): diagonals d (2, k, n) and off-diagonals
+e (2, k, n - 1), n = ceil(dim/k), laid out by :func:`sector_axes`
+(:mod:`krabi.parity` keeps the index form p = k*n + l - 1); the dense
+(2, k, n, n) stack is filled from them only for the one eigensolve call.
+When k does not divide dim, each short sector ends in a pad, a decoupled
+state whose level lies above the block's spectrum and is dropped. At g = 0,
+e is 0 at every k, even where amp_p overflows, so the model is solved. The
+amplitudes and the sector operators have their one home here; the test
+suite checks (d, e) entrywise against the projector compression
+(:meth:`krabi.parity.SectorDecomposition.compress`) of the gauge-rotated
+dense decoupled blocks.
 
 Verification runs on the band as well, in O(dim): the parity's three defects
 are computed there and judged by
@@ -45,27 +48,25 @@ from .parity import generalized_parity_signs
 from .riccati import VerificationReport, _require_passed
 
 
-def _lowering_band(k: int, dim: int) -> np.ndarray:
-    """amp_p = <p| a^k |p+k> = sqrt((p+1)(p+2)...(p+k)) for p < dim - k.
+def _amplitudes(params: ModelParams) -> np.ndarray:
+    """amp_p = <p| a^k |p+k> = sqrt((p+1)(p+2)...(p+k)) for p < dim - k; zeros at g = 0.
 
     A product of k square roots of consecutive integers, never the
     factorials themselves. Entry p links sector level n = p // k of sector
     l = p % k + 1 to level n + 1. An amplitude past the float64 range is
     inf, without a warning, and the verdict of :func:`verify_band` refuses
     the model: at k = 256, dim = 512 every amplitude from p = 139 on is inf.
+    At g = 0 the coupling |g|*amp_p is 0 even there: zeros, with no product.
     """
+    k, dim = params.k, params.dim
+    if params.g == 0:
+        return np.zeros(dim - k)
     roots = np.sqrt(np.arange(1, dim, dtype=np.float64))  # roots[i] = sqrt(i + 1)
     band = roots[: dim - k].copy()
     with np.errstate(over="ignore"):
         for j in range(1, k):
             band *= roots[j : dim - k + j]
     return band
-
-
-def band(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal omega*p (p < dim) and coupling amplitudes amp_p (p < dim - k)."""
-    return (params.omega * np.arange(params.dim, dtype=np.float64),
-            _lowering_band(params.k, params.dim))
 
 
 def verify_band(params: ModelParams, signs: np.ndarray, tol: float) -> VerificationReport:
@@ -80,7 +81,7 @@ def verify_band(params: ModelParams, signs: np.ndarray, tol: float) -> Verificat
     overflows. :meth:`VerificationReport.from_norms` raises ValueError when
     the scale 2*||h_pm|| + 2*|alpha|*sqrt(dim) overflows float64.
     """
-    amplitudes = _lowering_band(params.k, params.dim)
+    amplitudes = _amplitudes(params)
     k, dim, abs_g = params.k, params.dim, abs(params.g)
     # ||(0, 1, ..., dim - 1)|| in closed form.
     diagonal_norm = params.omega * math.sqrt((dim - 1) * dim * (2 * dim - 1) / 6)
@@ -146,30 +147,38 @@ def _verified_signs(params: ModelParams) -> np.ndarray:
     return signs
 
 
-def _sector_matrices(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Verify the parity on the band; return ``(signs, t)``, t the sector tridiagonals.
+def sector_band(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Verify the parity on the band; return ``(signs, d, e)``, the sector tridiagonals.
 
-    ``t[b, l]`` (shape ``(2, k, n, n)``, n = ceil(dim/k)) is block b (0 top,
-    1 bottom) on sector l + 1: diagonal ``omega*p +- alpha*s_p`` and
-    off-diagonal ``+-|g|*amp_p`` on Fock indices l, l + k, .... A pad is
-    coupled to nothing, and its diagonal, (max |diagonal| + 2*max |off|) of
-    the block times 1 + 2**-20, lies above every level of the block even
-    after roundoff (Gershgorin), so its level sorts last in its sector.
+    ``d[b, l]`` and ``e[b, l]`` (shapes ``(2, k, n)`` and ``(2, k, n - 1)``,
+    n = ceil(dim/k)) are the diagonal ``omega*p +- alpha*s_p`` and the
+    off-diagonal ``+-|g|*amp_p`` of block b (0 top, 1 bottom) on sector l + 1,
+    on Fock indices l, l + k, .... A pad is coupled to nothing (``e`` is 0 on
+    its link), and its diagonal, (max |diagonal| + 2*max |off|) of the block
+    times 1 + 2**-20, lies above every level of the block even after roundoff
+    (Gershgorin), so its level sorts last in its sector.
     """
     k = params.k
     signs = _verified_signs(params)
-    diagonal, amplitudes = band(params)
     block_sign = np.array([[1.0], [-1.0]])
-    diagonal = to_sectors(diagonal + (block_sign * params.alpha) * signs, k)
-    off = to_sectors(block_sign * (abs(params.g) * amplitudes), k)
-    n = diagonal.shape[-1]
-    t = np.zeros(diagonal.shape + (n,))
-    flat = t.reshape(diagonal.shape[:-1] + (n * n,))  # diagonals are strided slices
-    flat[..., :: n + 1] = diagonal
-    flat[..., 1 :: n + 1] = flat[..., n :: n + 1] = off
-    bound = np.abs(diagonal).max(axis=(1, 2)) + 2.0 * np.abs(off).max(axis=(1, 2))
-    t[:, ~fock_mask(k, params.dim)[:, -1], -1, -1] = (1.0 + 2.0**-20) * bound[:, None]
-    return signs, t
+    d = to_sectors(params.omega * np.arange(params.dim, dtype=np.float64)
+                   + (block_sign * params.alpha) * signs, k)
+    e = to_sectors(block_sign * (abs(params.g) * _amplitudes(params)), k)
+    bound = np.abs(d).max(axis=(1, 2)) + 2.0 * np.abs(e).max(axis=(1, 2))
+    d[:, ~fock_mask(k, params.dim)[:, -1], -1] = (1.0 + 2.0**-20) * bound[:, None]
+    return signs, d, e
+
+
+def _solve(params: ModelParams, vectors: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(signs, w, u)``: :func:`sector_band`, filled into the dense ``(2, k, n, n)`` stack
+    and solved in one call, for the levels alone (u None) or with the vectors."""
+    signs, d, e = sector_band(params)
+    n = d.shape[-1]
+    t = np.zeros(d.shape + (n,))
+    flat = t.reshape(d.shape[:-1] + (n * n,))  # diagonals are strided slices
+    flat[..., :: n + 1] = d
+    flat[..., 1 :: n + 1] = flat[..., n :: n + 1] = e
+    return signs, *_eigh(t, vectors=vectors)
 
 
 class SectorSystem(NamedTuple):
@@ -191,8 +200,7 @@ class SectorSystem(NamedTuple):
 
 def sector_eigensystem(params: ModelParams) -> SectorSystem:
     """Verify the generalized parity on the band, then solve all 2k sectors in one call."""
-    signs, t = _sector_matrices(params)
-    w, u = _eigh(t, vectors=True)
+    signs, w, u = _solve(params, vectors=True)
     return SectorSystem(signs, gauge(params.g, params.k, params.dim), w, u)
 
 
@@ -202,5 +210,5 @@ def sector_levels(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     As :func:`sector_eigensystem`, for the levels alone, pads dropped. The
     gauge D is a diagonal unitary, so it does not enter.
     """
-    w, _ = _eigh(_sector_matrices(params)[1], vectors=False)
+    w = _solve(params, vectors=False)[1]
     return tuple(np.sort(w[:, fock_mask(params.k, params.dim)]))

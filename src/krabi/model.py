@@ -88,7 +88,10 @@ class BlockOperator:
 
 
 def coupling_term(params: ModelParams) -> np.ndarray:
-    """k-photon exchange operator conj(g)*a^k + g*(a^dag)^k."""
+    """k-photon exchange operator conj(g)*a^k + g*(a^dag)^k; the zero matrix at g = 0,
+    where a^k itself may overflow (from k = 239 on at dim = 512)."""
+    if params.g == 0:
+        return np.zeros((params.dim, params.dim), dtype=np.complex128)
     a_k = power_k(annihilation(params.dim), params.k)
     return np.conj(params.g) * a_k + params.g * a_k.conj().T
 

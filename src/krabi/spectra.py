@@ -8,11 +8,13 @@ levels with the dense blocks and the full spectrum; ``krabi verify --spectra``
 compares the dense decoupled blocks with the full spectrum.
 
 Each model's parity is verified exactly, on the band (:mod:`krabi._sectors`).
-sector_spectrum and evolution solve both blocks' 2k real tridiagonal sectors
-in one call, held as one (2, k, n) stack. Only sweep still solves the dense
-blocks, one grid point after another in grid order, for their eigenvalues
-alone: the faster sector route grows the benchmark's speed-sized input pool
-past sweep-small's memory bound, so it waits for a batched sweep.
+sector_spectrum and evolution hold both blocks' 2k real tridiagonal sectors
+as their band (d, e), filled into a dense stack only for the one eigensolve
+call; g = 0 is solved at every k, on the band and the dense blocks. Only
+sweep still solves the dense blocks, one grid point after another in grid
+order, for their eigenvalues alone: the faster sector route grows the
+benchmark's speed-sized input pool past sweep-small's memory bound, so it
+waits for a batched sweep.
 
 Time evolution uses eigendecomposition rather than ODE stepping, so there
 is no step-size parameter to tune: the state is rotated into the block

@@ -175,11 +175,13 @@ def test_criterion_6_decoupled_dynamics():
 
 
 def test_criterion_7_restricted_operator_formulas():
-    """The sector core's tridiagonals equal projector compression; no leakage.
+    """The sector core's band (d, e) is projector compression; no leakage.
 
-    Each sector matrix t[b, l] of both blocks (pads cut off) is compared with
-    the compression of the gauge-rotated dense decoupled block conj(D)*top*D
-    or conj(D)*bottom*D. Band amplitudes reach ~1e5 at k = 6, dim = 64, so
+    Each sector's diagonal d[b, l] and off-diagonal e[b, l] of both blocks
+    (pads cut off) are compared with the diagonal and the first super- and
+    subdiagonal of the compression of the gauge-rotated dense decoupled block
+    conj(D)*top*D or conj(D)*bottom*D, whose other entries must be 0 within
+    the absolute floor. Band amplitudes reach ~1e5 at k = 6, dim = 64, so
     agreement is checked entrywise at relative 1e-12 (with 1e-13 absolute
     floor for the exact zeros); cross-sector blocks of a^dag a and a^k must
     vanish to 1e-13.
@@ -191,17 +193,21 @@ def test_criterion_7_restricted_operator_formulas():
         for dim in (2 * k + 3, 64):
             sd = decompose(k, dim)
             params = draw_params(rng, k, dim)
-            _, t = _sectors._sector_matrices(params)
-            d = _sectors.gauge(params.g, k, dim)
+            _, d, e = _sectors.sector_band(params)
+            phase = _sectors.gauge(params.g, k, dim)
             blocks = block_diagonalize(build_blocks(params), generalized_parity(k, dim))
             n_full = creation(dim) @ annihilation(dim)
             a_k = power_k(annihilation(dim), k)
             for l in range(1, k + 1):
                 size = sd.sector_dims[l - 1]
                 for b, block in enumerate(blocks):
-                    gauged = d.conj()[:, None] * block * d
-                    ok &= bool(np.allclose(t[b, l - 1, :size, :size],
-                                           sd.compress(gauged, l, l), rtol=1e-12, atol=1e-13))
+                    sector = sd.compress(phase.conj()[:, None] * block * phase, l, l)
+                    off = e[b, l - 1, : size - 1]
+                    pairs = [(d[b, l - 1, :size], np.diagonal(sector)),
+                             (off, np.diagonal(sector, 1)), (off, np.diagonal(sector, -1)),
+                             (np.triu(sector, 2), 0), (np.tril(sector, -2), 0)]
+                    ok &= all(np.allclose(got, expected, rtol=1e-12, atol=1e-13)
+                              for got, expected in pairs)
                 for m in range(1, k + 1):
                     if m == l:
                         continue
@@ -209,7 +215,7 @@ def test_criterion_7_restricted_operator_formulas():
                                       float(np.linalg.norm(sd.compress(n_full, l, m))),
                                       float(np.linalg.norm(sd.compress(a_k, l, m))))
     ok = ok and worst_cross <= 1e-13
-    report(7, ok, f"sector tridiagonals match compression at 1e-12; cross-sector max "
+    report(7, ok, f"sector band (d, e) matches compression at 1e-12; cross-sector max "
                   f"{worst_cross:.1e} <= 1e-13")
 
 

@@ -550,6 +550,30 @@ class TestOverflow:
         assert invoke(capsys, argv) == (2, "", "error: the model overflows float64: "
                                         "||h_plus|| + ||h_minus|| + 2*|alpha|*sqrt(dim) = inf\n")
 
+    def test_zero_coupling_where_the_amplitudes_overflow_is_solved(self, capsys):
+        # At g = 0 the blocks are diagonal, so the amplitudes past float64 at k = 256,
+        # dim = 512 do not enter: the levels are omega*p +- alpha*s_p, exact, with no warning.
+        model = ["--k", "256", "--dim", "512", "--alpha", "1", "--omega", "1", "--g", "0"]
+        code, out, err = invoke(capsys, ["spectrum", *model, "--levels", "2"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2:] == ["+,0,1.0000000000000000e+00", "+,1,2.0000000000000000e+00",
+                                        "-,0,-1.0000000000000000e+00", "-,1,0.0000000000000000e+00"]
+        for flags in ([], ["--spectra"]):
+            code, out, err = invoke(capsys, ["verify", *model, *flags])
+            report = json.loads(out)
+            assert (code, err, report["passed"], report["residual_norm"]) == (0, "", True, 0.0)
+        assert report["spectra_match"] <= 1e-12 * 512
+        code, out, err = invoke(capsys, ["sweep", *model, "--levels", "2", "--param", "alpha",
+                                         "--lo", "0", "--hi", "1", "--steps", "2"])
+        assert (code, err) == (0, "")
+        assert out == "".join(["param,block,level,eigenvalue\n"] + [
+            f"{v:.16e},{b},{i},{w:.16e}\n" for v, levels in ((0, (0, 1, 0, 1)), (1, (1, 2, -1, 0)))
+            for (b, i), w in zip((("+", 0), ("+", 1), ("-", 0), ("-", 1)), levels)])
+        code, out, err = invoke(capsys, ["evolve", *model, "--t-max", "1", "--steps", "1"])
+        params = ModelParams(alpha=1.0, omega=1.0, g=0.0, k=256, dim=512)
+        spec = EvolutionSpec(initial_state=ground_state(params), dt=1.0, steps=1)
+        assert (code, err, out) == (0, "", trajectory_csv(*evolve(params, spec)))
+
     def test_evolve_phase_past_the_float64_range(self, capsys, tmp_path):
         path = tmp_path / "trajectory.csv"
         argv = ["evolve", *self.HUGE, "--omega", "1", "--g", "0.1", "--t-max", "1e308",

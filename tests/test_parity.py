@@ -1,7 +1,7 @@
 """Sector decomposition and parity operators.
 
-The sector core's tridiagonals, built from the closed-form band amplitudes
-amp_p, are checked entrywise against an independent route: projector
+The sector core's band (d, e), built from the closed-form amplitudes amp_p,
+is checked entrywise against an independent route: projector
 compression of the gauge-rotated dense decoupled blocks, whose a^dag a and
 a^k leave no cross-sector blocks. The generalized parity built from the
 sector definition is checked against the floor-based sign shortcut and
@@ -97,7 +97,7 @@ class TestDecompose:
 
 
 class TestRestrictedOps:
-    """Operators restricted to one sector: the sector core's tridiagonals."""
+    """Operators restricted to one sector: the sector core's band (d, e)."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("dim", [None, 64])
@@ -105,15 +105,20 @@ class TestRestrictedOps:
         dim = 2 * k + 3 if dim is None else dim
         params = ModelParams(alpha=0.7, omega=1.3, g=0.8 * np.exp(2.3j), k=k, dim=dim)
         sd = decompose(k, dim)
-        _, t = _sectors._sector_matrices(params)
-        d = _sectors.gauge(params.g, k, dim)
+        _, d, e = _sectors.sector_band(params)
+        phase = _sectors.gauge(params.g, k, dim)
         blocks = block_diagonalize(build_blocks(params), generalized_parity(k, dim))
         for b, block in enumerate(blocks):
-            gauged = d.conj()[:, None] * block * d
+            gauged = phase.conj()[:, None] * block * phase
             for l in range(1, k + 1):
                 size = sd.sector_dims[l - 1]
-                assert np.allclose(t[b, l - 1, :size, :size], sd.compress(gauged, l, l),
-                                   rtol=1e-12, atol=1e-13)
+                sector = sd.compress(gauged, l, l)
+                off = e[b, l - 1, : size - 1]
+                pairs = [(d[b, l - 1, :size], np.diagonal(sector)),
+                         (off, np.diagonal(sector, 1)), (off, np.diagonal(sector, -1)),
+                         (np.triu(sector, 2), 0), (np.tril(sector, -2), 0)]
+                for got, expected in pairs:
+                    assert np.allclose(got, expected, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_cross_sector_blocks_vanish(self, k):

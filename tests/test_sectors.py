@@ -1,6 +1,6 @@
 """Sector-tridiagonal core against the dense blocks it replaces in evolve and spectrum.
 
-The band, its verification of the parity and the sector eigensystem are
+The band (d, e), its verification of the parity and the sector eigensystem are
 each compared with the dense route (build_blocks, verify_involution_solution,
 block_diagonalize, eig_hermitian), which stays as the oracle.
 """
@@ -19,7 +19,8 @@ from krabi.linalg import eig_hermitian
 from krabi.parity import (bosonic_parity_signs, generalized_parity, generalized_parity_signs,
                           two_photon_parity_signs)
 from krabi.riccati import block_diagonalize, residual, verify_involution_solution
-from krabi.spectra import ground_state, sector_spectrum
+from krabi.spectra import (EvolutionSpec, SweepSpec, evolve, ground_state, sector_spectrum,
+                           sweep)
 
 
 def seeded_params(seed, k, dim):
@@ -70,12 +71,27 @@ class TestBand:
     @pytest.mark.parametrize("k,dim", [(1, 9), (2, 17), (3, 30), (4, 64)])
     def test_band_is_the_dense_coupling(self, k, dim):
         params = ModelParams(alpha=0.3, omega=1.7, g=1.0, k=k, dim=dim)
-        diagonal, amplitudes = _sectors.band(params)
+        signs, d, e = _sectors.sector_band(params)
         a_k = power_k(annihilation(dim), k).real
-        assert np.array_equal(diagonal, 1.7 * np.arange(dim))
-        expected = np.diagonal(a_k, offset=k)
-        assert np.allclose(amplitudes, expected, rtol=1e-13, atol=0)
-        assert amplitudes.size == dim - k
+        for b, sign in enumerate((1.0, -1.0)):
+            diagonal = 1.7 * np.arange(dim) + sign * 0.3 * signs
+            off = sign * np.diagonal(a_k, offset=k)
+            for l in range(k):
+                size = len(range(l, dim, k))
+                assert np.array_equal(d[b, l, :size], diagonal[l::k])
+                assert np.allclose(e[b, l, : size - 1], off[l::k], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("k,dim", [(2, 17), (3, 31), (4, 66), (5, 13)])
+    def test_pads_are_uncoupled_and_above_their_block(self, k, dim):
+        params = seeded_params(dim, k, dim)
+        _, d, e = _sectors.sector_band(params)
+        n = -(-dim // k)
+        assert d.shape == (2, k, n) and e.shape == (2, k, n - 1)
+        short = ~_sectors.fock_mask(k, dim)[:, -1]
+        assert short.sum() == k - dim % k
+        assert not e[:, short, -1].any() and e[:, ~short, -1].all()
+        for pads, block in zip(d[:, short, -1], dense_blocks(params)):
+            assert np.all(pads > eig_hermitian(block)[0][-1])
 
     def test_gauge_links_sector_neighbours_by_the_phase_of_g(self):
         g = 0.3 * np.exp(3.1j)
@@ -139,6 +155,33 @@ class TestVerifyBand:
                       lambda: sector_spectrum(params, 2), lambda: ground_state(params)):
             with pytest.raises(ValueError, match=r"^the model overflows float64: .* = inf$"):
                 solve()
+
+    @pytest.mark.parametrize("alpha,omega", [(1.0, 1.0), (-0.3, 1.7)])
+    def test_zero_coupling_is_solved_where_the_amplitudes_overflow(self, alpha, omega):
+        # amp_p is inf from p = 139 on, and a^k has inf entries, at k = 256, dim = 512; at
+        # g = 0 both blocks are diagonal, so their levels are omega*p +- alpha*s_p exactly.
+        params = ModelParams(alpha=alpha, omega=omega, g=0.0, k=256, dim=512)
+        signs = generalized_parity_signs(256, 512)
+        report = _sectors.verify_band(params, signs, 0.0)
+        assert report.passed and report.residual_norm == 0.0
+
+        def levels(alpha):
+            diagonal = omega * np.arange(512)
+            return np.sort(diagonal + alpha * signs), np.sort(diagonal - alpha * signs)
+
+        top, bottom = levels(alpha)
+        got = sector_spectrum(params, 512)
+        assert np.array_equal(got[0], top) and np.array_equal(got[1], bottom)
+        # sweep solves the dense decoupled blocks.
+        rows = sweep(SweepSpec(base=params, param="alpha", lo=alpha, hi=alpha + 1, steps=2,
+                               levels=512))
+        assert rows == [(value, block, i, w) for value in (alpha, alpha + 1)
+                        for block, ws in zip("+-", levels(value)) for i, w in enumerate(ws)]
+        # The ground state is an eigenvector: evolution only turns its phase.
+        state = ground_state(params)
+        times, states = evolve(params, EvolutionSpec(initial_state=state, dt=0.5, steps=4))
+        energy = min(top[0], bottom[0])
+        assert np.max(np.abs(states - np.exp(-1j * energy * times)[:, None] * state)) <= 1e-15
 
     def test_amplitudes_whose_squares_overflow_are_solved(self):
         # amp_p reaches 4.8e165 at k = 125, dim = 512: finite, but ||amp||^2 is not.

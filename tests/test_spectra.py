@@ -79,7 +79,12 @@ def whole_grid_states(params, state, dt, steps):
     k, dim = params.k, params.dim
     signs = generalized_parity_signs(k, dim).astype(float)
     phase = _sectors.gauge(params.g, k, dim)
-    diagonal, amplitudes = _sectors.band(params)
+    diagonal = params.omega * np.arange(dim, dtype=np.float64)
+    # amp_p = sqrt(p+1)*...*sqrt(p+k), multiplied left to right as the core does, so that
+    # the states are bitwise comparable: np.diagonal(power_k(a, k), k) pairs the factors
+    # as (sqrt(p+1)*sqrt(p+2))*(sqrt(p+3)*sqrt(p+4)) at k = 4, one ulp away.
+    amplitudes = np.prod([np.sqrt(np.arange(j + 1, dim - k + j + 1, dtype=np.float64))
+                          for j in range(k)], axis=0)
     upper, lower = state[:dim], state[dim:]
     times = np.arange(steps + 1, dtype=np.float64) * dt
     blocks = []
