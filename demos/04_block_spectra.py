@@ -12,7 +12,7 @@ from krabi import (
     ModelParams,
     build_blocks,
     block_diagonalize,
-    generalized_parity,
+    generalized_parity_signs,
     sector_spectrum,
     similarity_transform,
 )
@@ -21,7 +21,7 @@ from krabi.linalg import eig_hermitian
 for k, dim in ((1, 32), (2, 32), (3, 48)):
     params = ModelParams(alpha=0.8, omega=1.0, g=0.4 + 0.3j, k=k, dim=dim)
     blocks = build_blocks(params)
-    x = generalized_parity(k, dim)
+    x = np.diag(generalized_parity_signs(k, dim))
     s, s_inv = similarity_transform(x)
     conjugated = s_inv @ blocks.full_matrix() @ s
     off = max(np.linalg.norm(conjugated[:dim, dim:]), np.linalg.norm(conjugated[dim:, :dim]))

@@ -13,14 +13,10 @@ from .fock import annihilation, creation, number, power_k
 from .model import BlockOperator, ModelParams, build_blocks, build_full, coupling_term
 from .parity import (
     SectorDecomposition,
-    bosonic_parity,
     bosonic_parity_signs,
     decompose,
-    generalized_parity,
     generalized_parity_signs,
-    partial_parity,
     partial_parity_signs,
-    two_photon_parity,
     two_photon_parity_signs,
 )
 from .riccati import (
@@ -59,7 +55,6 @@ __all__ = [
     "VerificationReport",
     "annihilation",
     "block_diagonalize",
-    "bosonic_parity",
     "bosonic_parity_signs",
     "build_blocks",
     "build_full",
@@ -67,11 +62,9 @@ __all__ = [
     "creation",
     "decompose",
     "evolve",
-    "generalized_parity",
     "generalized_parity_signs",
     "ground_state",
     "number",
-    "partial_parity",
     "partial_parity_signs",
     "power_k",
     "residual",
@@ -81,7 +74,6 @@ __all__ = [
     "sweep_csv",
     "trajectory_chunks",
     "trajectory_csv",
-    "two_photon_parity",
     "two_photon_parity_signs",
     "verify_involution_solution",
 ]

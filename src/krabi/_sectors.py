@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import _require_memory
 from .linalg import _eigh, _norm
 from .model import ModelParams
 from .parity import generalized_parity_signs
@@ -174,6 +175,10 @@ def _solve(params: ModelParams, vectors: bool) -> tuple[np.ndarray, np.ndarray, 
     and solved in one call, for the levels alone (u None) or with the vectors."""
     signs, d, e = sector_band(params)
     n = d.shape[-1]
+    # Float64 words: the stack and LAPACK's copy of one sector; with the vectors,
+    # u and that sector's workspace; and the band's O(dim) arrays.
+    words = d.size * n + n * n + (d.size * n + 2 * n * n if vectors else 0) + 16 * params.dim
+    _require_memory(8 * words, f"solving {d.shape[0] * d.shape[1]} sector matrices of size {n}")
     t = np.zeros(d.shape + (n,))
     flat = t.reshape(d.shape[:-1] + (n * n,))  # diagonals are strided slices
     flat[..., :: n + 1] = d

@@ -1,11 +1,15 @@
 """Exception types shared across the package, and one check per input rule.
 
 A bool, str, None or array given for a number is a ValueError that names the
-parameter; numpy scalars are accepted.
+parameter; numpy scalars are accepted. A request whose estimated allocation
+exceeds the machine's physical memory is a MemoryError, raised before any
+of it is allocated.
 """
 
+import functools
 import math
 import numbers
+import os
 
 
 class ShapeError(ValueError):
@@ -82,3 +86,21 @@ def _number(value, name: str, kind: type = float, bound: str = ""):
             and (bound != "> 0" or x > 0) and (bound != ">= 0" or x >= 0)):
         raise ValueError(f"{name} must be finite{f' and {bound}' if bound else ''}, got {x}")
     return x
+
+
+@functools.cache
+def _physical_memory() -> float:
+    """Bytes of physical memory, read once; inf where the platform does not say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def _require_memory(nbytes: int, request: str) -> None:
+    """MemoryError naming ``request`` and both sizes when its estimated ``nbytes``
+    exceed the physical memory; called before the allocation it estimates."""
+    memory = _physical_memory()
+    if nbytes > memory:
+        raise MemoryError(f"{request} needs about {nbytes / 1e6:.1f} MB, more than the "
+                          f"{memory / 1e6:.1f} MB of physical memory")

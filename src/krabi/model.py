@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, _k_dim, _number
+from .errors import ShapeError, _k_dim, _number, _require_memory
 from .fock import annihilation, number, power_k
 from .linalg import _checked_hermitian
 
@@ -98,6 +98,9 @@ def coupling_term(params: ModelParams) -> np.ndarray:
 
 def build_blocks(params: ModelParams) -> BlockOperator:
     """Blocks h_plus, h_minus and the off-diagonal blocks' value alpha."""
+    # N, a, a^k with matrix_power's temporaries, the coupling, h_plus and h_minus:
+    # at most 8 dim x dim complex matrices at once.
+    _require_memory(8 * 16 * params.dim**2, f"building the dense blocks at dim = {params.dim}")
     n_op = number(params.dim)
     w = coupling_term(params)
     return BlockOperator(h_plus=params.omega * n_op + w, h_minus=params.omega * n_op - w,

@@ -9,16 +9,18 @@ flipping the sign of every odd sector level anticommutes with a^k and
 commutes with a^dag a, hence swaps h_plus and h_minus.
 
 The generalized parity assembled from those per-sector signs is diagonal in
-the Fock basis, Hermitian, and squares to the identity. It is stored as an
-integer sign vector; dense complex views are provided for matrix algebra.
-For k = 1 it reduces to the bosonic parity diag((-1)^n) and for k = 2 to
-the two-photon parity diag((-1)^(n(n-1)/2)).
+the Fock basis, Hermitian, and squares to the identity, so it is held as
+its integer sign vector s, and every parity here is such a vector. Where a
+matrix is needed, as by the dense Riccati checks of :mod:`krabi.riccati`,
+it is ``np.diag(s)``. For k = 1 the generalized parity reduces to the
+bosonic parity's signs (-1)^n and for k = 2 to the two-photon parity's
+signs (-1)^(n(n-1)/2).
 
 The operators restricted to one sector, and the band amplitudes of a^k,
 have one home: :mod:`krabi._sectors`, whose sector tridiagonals are checked
 entrywise against :meth:`SectorDecomposition.compress` of the dense blocks
-in the test suite. Here the decomposition's projectors and compression
-serve as that oracle.
+in the test suite. Here the decomposition's projector diagonals and
+compression serve as that oracle.
 """
 
 from __future__ import annotations
@@ -71,10 +73,6 @@ class SectorDecomposition:
         diag[self.members[l - 1]] = 1
         return diag
 
-    def projector(self, l: int) -> np.ndarray:
-        """Dense complex projector onto sector l."""
-        return np.diag(self.projector_diagonal(l).astype(np.complex128))
-
     def compress(self, op: np.ndarray, l: int, m: int) -> np.ndarray:
         """Block of ``op`` mapping sector m into sector l, on sector indices."""
         l = _sector_label(l, self.k)
@@ -98,11 +96,6 @@ def partial_parity_signs(sd: SectorDecomposition, l: int) -> np.ndarray:
     return signs
 
 
-def partial_parity(sd: SectorDecomposition, l: int) -> np.ndarray:
-    """Dense sector-sized parity diag((-1)^n) on sector l."""
-    return np.diag(partial_parity_signs(sd, l).astype(np.complex128))
-
-
 def generalized_parity_signs(k: int, dim: int) -> np.ndarray:
     """Integer sign vector of the generalized parity on ``dim`` Fock states.
 
@@ -119,22 +112,12 @@ def generalized_parity_signs(k: int, dim: int) -> np.ndarray:
     return signs
 
 
-def generalized_parity(k: int, dim: int) -> np.ndarray:
-    """Dense complex generalized parity operator, diagonal, involutive."""
-    return np.diag(generalized_parity_signs(k, dim).astype(np.complex128))
-
-
 def bosonic_parity_signs(dim: int) -> np.ndarray:
     """Signs (-1)^n of the bosonic parity operator."""
     dim = _dim(dim)
     signs = np.ones(dim, dtype=np.int64)
     signs[1::2] = -1
     return signs
-
-
-def bosonic_parity(dim: int) -> np.ndarray:
-    """Bosonic parity diag((-1)^n), the k = 1 generalized parity."""
-    return np.diag(bosonic_parity_signs(dim).astype(np.complex128))
 
 
 def two_photon_parity_signs(dim: int) -> np.ndarray:
@@ -146,8 +129,3 @@ def two_photon_parity_signs(dim: int) -> np.ndarray:
     dim = _dim(dim)
     n = np.arange(dim, dtype=np.int64)
     return np.where((n * (n - 1) // 2) % 2 == 0, 1, -1).astype(np.int64)
-
-
-def two_photon_parity(dim: int) -> np.ndarray:
-    """Two-photon parity diag((-1)^(n(n-1)/2)), the k = 2 generalized parity."""
-    return np.diag(two_photon_parity_signs(dim).astype(np.complex128))

@@ -45,7 +45,7 @@ import numpy as np
 from ._format import WORDS, format_fields
 from ._sectors import (SectorSystem, _verified_signs, fock_mask, sector_axes, sector_eigensystem,
                        sector_levels, to_sectors)
-from .errors import ShapeError, _levels, _number, _steps
+from .errors import ShapeError, _levels, _number, _require_memory, _steps
 from .linalg import _array, eig_hermitian
 from .model import ModelParams, build_blocks
 from .riccati import _decoupled_blocks
@@ -250,10 +250,14 @@ def evolve(params: ModelParams, spec: EvolutionSpec) -> tuple[np.ndarray, np.nda
     even though the block frame rescales norms.
     """
     _check_length(params, spec)
+    comps = 2 * params.dim
+    span, n = _steps_per(comps)[1], -(-params.dim // params.k)
+    # The states, six span-sized buffers, and the eigenvectors u taken as complex.
+    _require_memory(16 * comps * (spec.steps + 1 + 6 * span) + 32 * params.k * n * n,
+                    f"evolving {spec.steps + 1} states of {comps} components")
     states_at = _propagator(sector_eigensystem(params), spec.initial_state, spec.dt, spec.steps)
     times = np.arange(spec.steps + 1, dtype=np.float64) * spec.dt
-    states = np.empty((times.size, 2 * params.dim), dtype=np.complex128)
-    span = _steps_per(2 * params.dim)[1]
+    states = np.empty((times.size, comps), dtype=np.complex128)
     for start in range(0, times.size, span):
         states[start : start + span] = states_at(start, min(start + span, times.size))
     return times, states

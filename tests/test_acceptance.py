@@ -14,13 +14,10 @@ from krabi.fock import annihilation, creation, power_k
 from krabi.linalg import eig_hermitian
 from krabi.model import ModelParams, build_blocks, build_full
 from krabi.parity import (
-    bosonic_parity,
     bosonic_parity_signs,
     decompose,
-    generalized_parity,
     generalized_parity_signs,
     partial_parity_signs,
-    two_photon_parity,
     two_photon_parity_signs,
 )
 from krabi.riccati import (
@@ -50,7 +47,7 @@ def test_criterion_1_generalized_parity_solves_riccati():
     worst = 0.0
     for k in range(1, 7):
         for dim in (4 * k, 8 * k, 16 * k):
-            x = generalized_parity(k, dim)
+            x = np.diag(generalized_parity_signs(k, dim))
             for _ in range(5):
                 params = draw_params(rng, k, dim)
                 rep = verify_involution_solution(build_blocks(params), x, params=params)
@@ -100,7 +97,7 @@ def test_criterion_4_block_diagonalization_and_spectra():
     for k, dim in ((1, 64), (1, 256), (2, 64), (2, 256), (3, 96), (3, 255), (6, 96)):
         params = draw_params(rng, k, dim)
         blocks = build_blocks(params)
-        x = generalized_parity(k, dim)
+        x = np.diag(generalized_parity_signs(k, dim))
         top, bottom = block_diagonalize(blocks, x)
         s, s_inv = similarity_transform(x)
         full = blocks.full_matrix()
@@ -135,8 +132,8 @@ def test_criterion_5_claim_audit():
         dim = 8 * k
         params = ModelParams(alpha=1.0, omega=1.0, g=0.5, k=k, dim=dim)
         blocks = build_blocks(params)
-        rep_p = verify_involution_solution(blocks, bosonic_parity(dim))
-        rep_t = verify_involution_solution(blocks, two_photon_parity(dim))
+        rep_p = verify_involution_solution(blocks, np.diag(bosonic_parity_signs(dim)))
+        rep_t = verify_involution_solution(blocks, np.diag(two_photon_parity_signs(dim)))
         lines.append(f"k={k}: P rel={rep_p.relative_residual:.3e} "
                      f"T rel={rep_t.relative_residual:.3e}")
         if k % 2 == 1:
@@ -195,7 +192,8 @@ def test_criterion_7_restricted_operator_formulas():
             params = draw_params(rng, k, dim)
             _, d, e = _sectors.sector_band(params)
             phase = _sectors.gauge(params.g, k, dim)
-            blocks = block_diagonalize(build_blocks(params), generalized_parity(k, dim))
+            x = np.diag(generalized_parity_signs(k, dim))
+            blocks = block_diagonalize(build_blocks(params), x)
             n_full = creation(dim) @ annihilation(dim)
             a_k = power_k(annihilation(dim), k)
             for l in range(1, k + 1):
@@ -223,7 +221,7 @@ def test_criterion_8_hand_checkable_instance():
     """k=1, dim=2, omega=1, g=1, alpha=0.5: all spectra known in closed form."""
     params = ModelParams(alpha=0.5, omega=1.0, g=1.0, k=1, dim=2)
     blocks = build_blocks(params)
-    top, bottom = block_diagonalize(blocks, generalized_parity(1, 2))
+    top, bottom = block_diagonalize(blocks, np.diag(generalized_parity_signs(1, 2)))
     w_top = eig_hermitian(top)[0]
     w_bottom = eig_hermitian(bottom)[0]
     expected_top = np.array([-0.5, 1.5])

@@ -18,7 +18,7 @@ from krabi.errors import HermiticityError, ShapeError, SolutionError
 from krabi.fock import power_k
 from krabi.linalg import _norm, dump_matrix, dump_vector, eig_hermitian, load_matrix, load_vector
 from krabi.model import BlockOperator, ModelParams, build_blocks
-from krabi.parity import bosonic_parity, generalized_parity, generalized_parity_signs
+from krabi.parity import bosonic_parity_signs, generalized_parity_signs
 from krabi.riccati import (_require_passed, block_diagonalize, residual, similarity_transform,
                            verify_involution_solution)
 from krabi.spectra import EvolutionSpec, SweepSpec, ground_state, sector_spectrum, trajectory_csv
@@ -73,6 +73,7 @@ class TestSteps:
 
 class TestScalars:
     BLOCKS = build_blocks(PARAMS)
+    PARITY = np.diag(generalized_parity_signs(2, 12))
     #: Entry point: (parameter, float or complex, bound, outcome for a value). The
     #: value 1 is valid at each.
     ENTRIES = {
@@ -93,10 +94,10 @@ class TestScalars:
         "EvolutionSpec dt": ("dt", float, "> 0", library(lambda v: EvolutionSpec(
             initial_state=ground_state(PARAMS), dt=v, steps=2))),
         "verify_involution_solution tol": ("tolerance", float, ">= 0", library(
-            lambda v: verify_involution_solution(TestScalars.BLOCKS, generalized_parity(2, 12),
+            lambda v: verify_involution_solution(TestScalars.BLOCKS, TestScalars.PARITY,
                                                  tol=v))),
         "block_diagonalize tol": ("tolerance", float, ">= 0", library(
-            lambda v: block_diagonalize(TestScalars.BLOCKS, generalized_parity(2, 12), tol=v))),
+            lambda v: block_diagonalize(TestScalars.BLOCKS, TestScalars.PARITY, tol=v))),
         "verify_band tol": ("tolerance", float, ">= 0", library(
             lambda v: _sectors.verify_band(PARAMS, generalized_parity_signs(2, 12), v))),
     }
@@ -165,9 +166,10 @@ class TestScalars:
     def test_boolean_tolerance_is_no_tolerance(self):
         # True read as 1.0 passed the bosonic parity at k = 2, which fails at 1e-10.
         blocks = build_blocks(ModelParams(alpha=1.0, omega=1.0, g=0.5, k=2, dim=8))
-        assert not verify_involution_solution(blocks, bosonic_parity(8), tol=1e-10).passed
+        p_op = np.diag(bosonic_parity_signs(8))
+        assert not verify_involution_solution(blocks, p_op, tol=1e-10).passed
         with pytest.raises(ValueError, match="^tolerance must be a real number, got True$"):
-            verify_involution_solution(blocks, bosonic_parity(8), tol=True)
+            verify_involution_solution(blocks, p_op, tol=True)
 
     SWEEP = ["sweep", *MODEL, "--levels", "2", "--steps", "3"]
     #: Flag: (parameter, bound, the subcommand's arguments without it).

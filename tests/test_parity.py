@@ -5,7 +5,8 @@ is checked entrywise against an independent route: projector
 compression of the gauge-rotated dense decoupled blocks, whose a^dag a and
 a^k leave no cross-sector blocks. The generalized parity built from the
 sector definition is checked against the floor-based sign shortcut and
-against the dedicated k = 1 and k = 2 parities.
+against the dedicated k = 1 and k = 2 parities. Every parity is a sign
+vector; the matrix checks take np.diag of it.
 """
 
 import numpy as np
@@ -18,14 +19,10 @@ from krabi.errors import ShapeError
 from krabi.fock import annihilation, creation, power_k
 from krabi.model import ModelParams, build_blocks
 from krabi.parity import (
-    bosonic_parity,
     bosonic_parity_signs,
     decompose,
-    generalized_parity,
     generalized_parity_signs,
-    partial_parity,
     partial_parity_signs,
-    two_photon_parity,
     two_photon_parity_signs,
 )
 from krabi.riccati import block_diagonalize
@@ -81,9 +78,10 @@ class TestDecompose:
         sd = decompose(3, 12)
         for l in range(1, 4):
             for m in range(1, 4):
-                product = sd.projector(l) @ sd.projector(m)
+                # Diagonal projectors multiply entrywise.
+                product = sd.projector_diagonal(l) * sd.projector_diagonal(m)
                 if l == m:
-                    assert np.array_equal(product, sd.projector(l))
+                    assert np.array_equal(product, sd.projector_diagonal(l))
                 else:
                     assert not product.any()
 
@@ -107,7 +105,7 @@ class TestRestrictedOps:
         sd = decompose(k, dim)
         _, d, e = _sectors.sector_band(params)
         phase = _sectors.gauge(params.g, k, dim)
-        blocks = block_diagonalize(build_blocks(params), generalized_parity(k, dim))
+        blocks = block_diagonalize(build_blocks(params), np.diag(generalized_parity_signs(k, dim)))
         for b, block in enumerate(blocks):
             gauged = phase.conj()[:, None] * block * phase
             for l in range(1, k + 1):
@@ -144,16 +142,16 @@ class TestPartialParity:
             assert np.array_equal(signs * signs, np.ones_like(signs))
             n_diag = sd.members[l - 1]
             assert np.array_equal(n_diag * signs, signs * n_diag)
-            j_l = partial_parity(sd, l)
+            j_l = np.diag(signs)
             a_l = sd.compress(a_k, l, l)
             assert np.array_equal(j_l @ a_l @ j_l, -a_l)
 
     def test_sector_label_out_of_range(self):
         sd = decompose(2, 8)
         with pytest.raises(ValueError):
-            partial_parity(sd, 0)
+            partial_parity_signs(sd, 0)
         with pytest.raises(ValueError):
-            partial_parity(sd, 3)
+            partial_parity_signs(sd, 3)
 
 
 class TestGeneralizedParity:
@@ -178,13 +176,13 @@ class TestGeneralizedParity:
 
     @pytest.mark.parametrize("k,dim", [(1, 8), (2, 12), (3, 9), (5, 21)])
     def test_involution_and_hermiticity(self, k, dim):
-        x = generalized_parity(k, dim)
+        x = np.diag(generalized_parity_signs(k, dim))
         assert np.array_equal(x @ x, np.eye(dim, dtype=complex))
         assert np.array_equal(x, x.conj().T)
 
     @pytest.mark.parametrize("k,dim", [(1, 10), (2, 12), (3, 15), (4, 16)])
     def test_anticommutes_with_k_step_lowering(self, k, dim):
-        x = generalized_parity(k, dim)
+        x = np.diag(generalized_parity_signs(k, dim))
         a_k = power_k(annihilation(dim), k)
         assert np.array_equal(x @ a_k @ x, -a_k)
 
@@ -194,7 +192,7 @@ class TestGeneralizedParity:
         g = rng.random() * np.exp(2j * np.pi * rng.random())
         blocks = build_blocks(ModelParams(alpha=rng.random(), omega=0.5 + rng.random(),
                                           g=g, k=k, dim=dim))
-        x = generalized_parity(k, dim)
+        x = np.diag(generalized_parity_signs(k, dim))
         conjugated = x @ blocks.h_plus @ x
         assert np.allclose(conjugated, blocks.h_minus, rtol=0,
                            atol=1e-12 * max(1.0, np.linalg.norm(blocks.h_plus)))
@@ -210,10 +208,9 @@ class TestSpecialParities:
     def test_two_photon_equals_generalized_up_to_256(self):
         for dim in (4, 64, 256):
             assert np.array_equal(two_photon_parity_signs(dim), generalized_parity_signs(2, dim))
-        assert np.array_equal(two_photon_parity(64), generalized_parity(2, 64))
 
     def test_small_dim_rejected(self):
         with pytest.raises(ShapeError):
-            bosonic_parity(1)
+            bosonic_parity_signs(1)
         with pytest.raises(ShapeError):
-            two_photon_parity(1)
+            two_photon_parity_signs(1)

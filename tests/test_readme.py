@@ -1,13 +1,16 @@
-"""Every `krabi ...` example in the README's sh blocks runs and exits as documented.
+"""Every `krabi ...` example in the README's sh blocks runs and exits as documented,
+and every python block runs and holds what it states.
 
 A line exits 1 where its comment says "exits 1", and 0 otherwise; a flag the
-CLI no longer takes is a usage error (exit 2) and fails here.
+CLI no longer takes is a usage error (exit 2) and fails here. A python block
+runs in a fresh namespace, so a name the package no longer exports fails here.
 """
 
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from krabi import cli
@@ -42,3 +45,27 @@ def test_example_exits_as_documented(capsys, monkeypatch, tmp_path, argv, expect
     code = cli.run(argv)
     err = capsys.readouterr().err
     assert code == expected, err
+
+
+PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                           flags=re.MULTILINE | re.DOTALL)
+
+
+@pytest.mark.parametrize("source", PYTHON_BLOCKS,
+                         ids=[f"block-{i}" for i in range(len(PYTHON_BLOCKS))])
+def test_python_block_runs(capsys, source):
+    exec(compile(source, str(README), "exec"), {"__name__": "readme"})
+    capsys.readouterr()
+
+
+def test_quick_start_claims():
+    (source,) = [block for block in PYTHON_BLOCKS if "block_diagonalize" in block]
+    namespace = {"__name__": "readme"}
+    exec(compile(source, str(README), "exec"), namespace)
+    # "exactly 0.0: x solves the equation"
+    assert namespace["report"].relative_residual == 0.0
+    # "`levels` equals the spectrum of blocks.full_matrix() to roundoff"
+    full = np.linalg.eigvalsh(namespace["blocks"].full_matrix())
+    levels = namespace["levels"]
+    assert levels.shape == full.shape
+    assert np.max(np.abs(levels - full)) <= 1e-12 * (full[-1] - full[0])

@@ -9,7 +9,7 @@ from krabi.errors import ShapeError, SolutionError
 from krabi.fock import annihilation, power_k
 from krabi.linalg import eig_hermitian
 from krabi.model import ModelParams, build_blocks, build_full
-from krabi.parity import bosonic_parity, generalized_parity, two_photon_parity
+from krabi.parity import bosonic_parity_signs, generalized_parity_signs, two_photon_parity_signs
 from krabi.riccati import (
     _spectra_match,
     block_diagonalize,
@@ -34,7 +34,7 @@ class TestResidual:
     def test_generalized_parity_solves(self, k, seed):
         params = seeded_params(seed, k, 8 * k)
         blocks = build_blocks(params)
-        x = generalized_parity(k, params.dim)
+        x = np.diag(generalized_parity_signs(k, params.dim))
         # Each entry is alpha*(s_p^2 - 1) or +-conj(g)*amp_p*(s_p + s_(p+k)): exactly 0.
         assert not np.any(residual(blocks, x))
 
@@ -50,7 +50,7 @@ class TestResidual:
         # collapses to (h_plus - h_minus) P = 2*(conj(g) a^k + g a^dag^k) P.
         params = ModelParams(alpha=0.7, omega=1.0, g=0.3 + 0.4j, k=2, dim=12)
         blocks = build_blocks(params)
-        p_op = bosonic_parity(12)
+        p_op = np.diag(bosonic_parity_signs(12))
         res = residual(blocks, p_op)
         a2 = power_k(annihilation(12), 2)
         w = np.conj(params.g) * a2 + params.g * a2.conj().T
@@ -65,22 +65,24 @@ class TestResidual:
 class TestVerification:
     def test_generalized_parity_passes(self):
         params = seeded_params(3, 3, 24)
-        report = verify_involution_solution(build_blocks(params),
-                                            generalized_parity(3, 24), params=params)
+        x = np.diag(generalized_parity_signs(3, 24))
+        report = verify_involution_solution(build_blocks(params), x, params=params)
         assert report.passed
         assert report.is_involution and report.intertwines
         assert report.relative_residual == 0.0
 
     def test_bosonic_parity_odd_k_passes(self):
         params = ModelParams(alpha=1.0, omega=1.0, g=0.5, k=3, dim=18)
-        report = verify_involution_solution(build_blocks(params), bosonic_parity(18))
+        p_op = np.diag(bosonic_parity_signs(18))
+        report = verify_involution_solution(build_blocks(params), p_op)
         assert report.passed
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     @pytest.mark.parametrize("g_mag", [0.1, 0.5])
     def test_bosonic_parity_even_k_fails(self, k, g_mag):
         params = ModelParams(alpha=1.0, omega=1.0, g=g_mag, k=k, dim=8 * k)
-        report = verify_involution_solution(build_blocks(params), bosonic_parity(params.dim))
+        p_op = np.diag(bosonic_parity_signs(params.dim))
+        report = verify_involution_solution(build_blocks(params), p_op)
         assert not report.passed
         assert report.relative_residual >= 1e-3
 
@@ -88,7 +90,8 @@ class TestVerification:
     def test_two_photon_parity_modular_rule(self, k, expected):
         # Measured rule: the two-photon parity solves exactly for k % 4 == 2.
         params = ModelParams(alpha=1.0, omega=1.0, g=0.5, k=k, dim=6 * k)
-        report = verify_involution_solution(build_blocks(params), two_photon_parity(params.dim))
+        t_op = np.diag(two_photon_parity_signs(params.dim))
+        report = verify_involution_solution(build_blocks(params), t_op)
         assert report.passed is expected
         if not expected:
             assert report.relative_residual >= 1e-3
@@ -98,20 +101,20 @@ class TestVerification:
         for alpha in (0.0, 0.7, 1.3):
             params = ModelParams(alpha=alpha, omega=1.0, g=0.4j, k=2, dim=16)
             report = verify_involution_solution(build_blocks(params),
-                                                two_photon_parity(16))
+                                                np.diag(two_photon_parity_signs(16)))
             defects.append(report.intertwining_defect)
         assert defects[0] == defects[1] == defects[2]
 
     def test_spectra_match_filled_for_passing_candidate(self):
         params = seeded_params(4, 2, 16)
-        blocks, x = build_blocks(params), generalized_parity(2, 16)
+        blocks, x = build_blocks(params), np.diag(generalized_parity_signs(2, 16))
         assert verify_involution_solution(blocks, x, params=params).passed
         assert _spectra_match(blocks, x) <= 1e-10
 
     def test_model_whose_squares_overflow_passes(self):
         # ||h_plus||^2 is past the float64 range at 1e200; the norms are not.
         params = ModelParams(alpha=1.0, omega=1e200, g=1e200, k=1, dim=4)
-        blocks, x = build_blocks(params), generalized_parity(1, 4)
+        blocks, x = build_blocks(params), np.diag(generalized_parity_signs(1, 4))
         report = verify_involution_solution(blocks, x)
         assert report.passed and report.relative_residual == 0.0
         assert report.involution_defect == report.intertwining_defect == 0.0
@@ -125,7 +128,7 @@ class TestVerification:
                            r"\+ \|\|h_minus\|\| \+ 2\*\|alpha\|\*sqrt\(dim\) = inf$"):
             block_diagonalize(blocks, np.eye(40))
         with pytest.raises(ValueError, match="^the model overflows float64: "):
-            verify_involution_solution(blocks, generalized_parity(2, 40))
+            verify_involution_solution(blocks, np.diag(generalized_parity_signs(2, 40)))
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-10, -math.inf])
     def test_tolerance_outside_zero_to_finite_is_refused(self, tol):
@@ -134,12 +137,12 @@ class TestVerification:
         with pytest.raises(ValueError, match=f"^tolerance must be finite and >= 0, got {tol}$"):
             block_diagonalize(blocks, np.eye(12), tol=tol)
         with pytest.raises(ValueError, match="^tolerance must be finite and >= 0, "):
-            verify_involution_solution(blocks, generalized_parity(2, 12), tol=tol)
+            verify_involution_solution(blocks, np.diag(generalized_parity_signs(2, 12)), tol=tol)
 
     def test_report_json_keys(self):
         params = seeded_params(5, 1, 8)
-        report = verify_involution_solution(build_blocks(params), bosonic_parity(8),
-                                            params=params)
+        p_op = np.diag(bosonic_parity_signs(8))
+        report = verify_involution_solution(build_blocks(params), p_op, params=params)
         data = report.to_dict()
         assert list(data) == ["residual_norm", "relative_residual", "involution_defect",
                               "intertwining_defect", "is_involution", "intertwines",
@@ -161,7 +164,7 @@ class TestSimilarityTransform:
 
     @pytest.mark.parametrize("k,dim", [(1, 8), (2, 16), (5, 25)])
     def test_generalized_parity_inverse(self, k, dim):
-        s, s_inv = similarity_transform(generalized_parity(k, dim))
+        s, s_inv = similarity_transform(np.diag(generalized_parity_signs(k, dim)))
         assert np.linalg.norm(s @ s_inv - np.eye(2 * dim)) <= 1e-13
 
     def test_non_involution_rejected(self):
@@ -185,7 +188,7 @@ class TestBlockDiagonalize:
     def test_rabi_blocks_closed_form(self):
         params = seeded_params(6, 2, 12)
         blocks = build_blocks(params)
-        x = generalized_parity(2, 12)
+        x = np.diag(generalized_parity_signs(2, 12))
         top, bottom = block_diagonalize(blocks, x)
         assert np.allclose(top, blocks.h_plus + params.alpha * x, rtol=0, atol=1e-14)
         assert np.allclose(bottom, blocks.h_minus - params.alpha * x, rtol=0, atol=1e-14)
@@ -193,7 +196,7 @@ class TestBlockDiagonalize:
     def test_dephasing_blocks_unchanged(self):
         params = ModelParams(alpha=0.0, omega=1.0, g=0.6, k=1, dim=10)
         blocks = build_blocks(params)
-        top, bottom = block_diagonalize(blocks, generalized_parity(1, 10))
+        top, bottom = block_diagonalize(blocks, np.diag(generalized_parity_signs(1, 10)))
         assert np.array_equal(top, blocks.h_plus)
         assert np.array_equal(bottom, blocks.h_minus)
 
@@ -201,7 +204,7 @@ class TestBlockDiagonalize:
     def test_conjugation_kills_off_diagonal_blocks(self, seed, k, dim):
         params = seeded_params(seed, k, dim)
         blocks = build_blocks(params)
-        x = generalized_parity(k, dim)
+        x = np.diag(generalized_parity_signs(k, dim))
         top, bottom = block_diagonalize(blocks, x)
         s, s_inv = similarity_transform(x)
         full = blocks.full_matrix()
@@ -216,7 +219,7 @@ class TestBlockDiagonalize:
 
     def test_hand_case_block_eigenvalues(self):
         blocks = build_blocks(HAND)
-        top, bottom = block_diagonalize(blocks, generalized_parity(1, 2))
+        top, bottom = block_diagonalize(blocks, np.diag(generalized_parity_signs(1, 2)))
         assert np.allclose(eig_hermitian(top)[0], [-0.5, 1.5], rtol=0, atol=1e-12)
         expected = [(1 - math.sqrt(8)) / 2, (1 + math.sqrt(8)) / 2]
         assert np.allclose(eig_hermitian(bottom)[0], expected, rtol=0, atol=1e-12)
@@ -226,4 +229,4 @@ class TestBlockDiagonalize:
     def test_unverified_candidate_rejected(self):
         params = ModelParams(alpha=1.0, omega=1.0, g=0.5, k=2, dim=12)
         with pytest.raises(SolutionError):
-            block_diagonalize(build_blocks(params), bosonic_parity(12))
+            block_diagonalize(build_blocks(params), np.diag(bosonic_parity_signs(12)))

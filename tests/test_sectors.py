@@ -16,8 +16,7 @@ from krabi.errors import EigenSolverError, SolutionError
 from krabi.fock import annihilation, power_k
 from krabi.model import ModelParams, build_blocks
 from krabi.linalg import eig_hermitian
-from krabi.parity import (bosonic_parity_signs, generalized_parity, generalized_parity_signs,
-                          two_photon_parity_signs)
+from krabi.parity import bosonic_parity_signs, generalized_parity_signs, two_photon_parity_signs
 from krabi.riccati import block_diagonalize, residual, verify_involution_solution
 from krabi.spectra import (EvolutionSpec, SweepSpec, evolve, ground_state, sector_spectrum,
                            sweep)
@@ -50,7 +49,8 @@ CANDIDATES = [
 
 def dense_blocks(params):
     """The oracle: the decoupled blocks of the dense route."""
-    return block_diagonalize(build_blocks(params), generalized_parity(params.k, params.dim))
+    x = np.diag(generalized_parity_signs(params.k, params.dim))
+    return block_diagonalize(build_blocks(params), x)
 
 
 def dense_report(params, signs, tol):

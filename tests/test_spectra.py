@@ -12,7 +12,7 @@ from krabi import _sectors, cli, linalg, model, parity, riccati, spectra
 from krabi.errors import ShapeError, SolutionError
 from krabi.linalg import eig_hermitian
 from krabi.model import ModelParams, build_blocks, build_full
-from krabi.parity import generalized_parity, generalized_parity_signs
+from krabi.parity import generalized_parity_signs
 from krabi.riccati import block_diagonalize
 from krabi.spectra import (
     EvolutionSpec,
@@ -158,7 +158,8 @@ class TestSectorSpectrum:
         levels = sector_spectrum(params, dim)
         full = eig_hermitian(build_full(params))[0]
         scale = np.max(np.abs(full))
-        oracle = block_diagonalize(build_blocks(params), parity.generalized_parity(k, dim))
+        x = np.diag(generalized_parity_signs(k, dim))
+        oracle = block_diagonalize(build_blocks(params), x)
         for got, block in zip(levels, oracle):
             assert np.max(np.abs(got - eig_hermitian(block)[0])) <= 1e-12 * scale
         assert np.max(np.abs(np.sort(np.concatenate(levels)) - full)) <= 1e-12 * scale
@@ -167,8 +168,8 @@ class TestSectorSpectrum:
     def test_never_touches_the_dense_blocks(self, monkeypatch):
         params = seeded_params(12, 3, 31)
         expected = sector_spectrum(params, 7)
-        forbid(monkeypatch, ("build_blocks", "block_diagonalize", "eig_hermitian",
-                             "generalized_parity"), "sector_spectrum")
+        forbid(monkeypatch, ("build_blocks", "block_diagonalize", "eig_hermitian"),
+               "sector_spectrum")
         for got, want in zip(sector_spectrum(params, 7), expected):
             assert np.array_equal(got, want)
 
@@ -255,8 +256,7 @@ class TestSweep:
         spec = SweepSpec(base=seeded_params(16, 3, 25), param=param, lo=lo, hi=hi, steps=5,
                          levels=3)
         expected = sweep_csv(sweep(spec)).encode()
-        forbid(monkeypatch, ("verify_involution_solution", "block_diagonalize",
-                             "generalized_parity"), "sweep")
+        forbid(monkeypatch, ("verify_involution_solution", "block_diagonalize"), "sweep")
         assert sweep_csv(sweep(spec)).encode() == expected
 
     @pytest.mark.parametrize("lo,hi", [(-1.7e308, 1.7e308), (-1e308, 1e308),
@@ -360,7 +360,7 @@ class TestEvolve:
         # is short when k does not divide dim, and from the ground state.
         params = seeded_params(k + 30, k, dim)
         l = k - 1
-        top, _ = block_diagonalize(build_blocks(params), generalized_parity(k, dim))
+        top, _ = block_diagonalize(build_blocks(params), np.diag(generalized_parity_signs(k, dim)))
         levels, vectors = eig_hermitian(top[l::k, l::k])
         u = np.zeros(dim, dtype=complex)
         u[l::k] = vectors[:, 0]
