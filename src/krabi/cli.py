@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from ._sectors import verify_band
-from .errors import _number, _steps
+from .errors import _k_dim, _number, _require_memory, _steps
 from .linalg import dump_matrix, load_vector
 from .model import ModelParams, build_blocks
 from .parity import bosonic_parity_signs, generalized_parity_signs, two_photon_parity_signs
@@ -132,6 +132,9 @@ def _params_from(args) -> ModelParams:
 
 def _cmd_verify(args) -> int:
     params = _params_from(args)
+    # The sign vector, the amplitudes and the band verdict's temporaries: at most eight
+    # float64 or int64 vectors of dim entries.
+    _require_memory(8 * 8 * params.dim, f"verifying the parity at dim = {params.dim}")
     if args.candidate == "xk":
         signs = generalized_parity_signs(params.k, params.dim)
     elif args.candidate == "p":
@@ -145,22 +148,28 @@ def _cmd_verify(args) -> int:
         if compare:
             report.spectra_match = _spectra_match(blocks, x)
         if args.dump is not None:
+            # The residual's temporaries and its rows of text stay within build_blocks'
+            # estimate, so no step of its own is estimated.
             dump_matrix(residual(blocks, x), args.dump)
     _emit([report.to_json() + "\n"], args.out)
     return 0 if report.passed else 1
 
 
 def _cmd_parity_table(args) -> int:
-    signs = generalized_parity_signs(args.k, args.dim)  # validates k and dim first
-    if args.dim % args.k != 0:
+    k, dim = _k_dim(args.k, args.dim)
+    # The sign vector, and each row's text in the list and in the joined table: about
+    # 117 bytes per Fock state at dim = 200000.
+    _require_memory(128 * dim, f"tabulating the parity at dim = {dim}")
+    signs = generalized_parity_signs(k, dim)
+    if dim % k != 0:
         print(
-            f"warning: k = {args.k} does not divide dim = {args.dim}; "
+            f"warning: k = {k} does not divide dim = {dim}; "
             "sector sizes differ by one",
             file=sys.stderr,
         )
     lines = ["p,n,l,sign"]
     for p, sign in enumerate(signs.tolist()):
-        lines.append(f"{p},{p // args.k},{p % args.k + 1},{sign:+d}")
+        lines.append(f"{p},{p // k},{p % k + 1},{sign:+d}")
     _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 

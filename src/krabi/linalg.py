@@ -131,10 +131,13 @@ def _eigh(a, vectors: bool):
 
 
 def _dump(a: np.ndarray, path) -> None:
-    """Write the C-contiguous complex128 ``a``: the count ``len(a)``, then its entries."""
-    pairs = a.reshape(-1, 1).view(np.float64).tolist()
+    """Write the C-contiguous complex128 ``a``: the count ``len(a)``, then its entries, one
+    row of a matrix (a vector is one row) at a time, so the text of ``a`` is never held whole."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("".join([f"{len(a)}\n", *(f"{re:.16e} {im:.16e}\n" for re, im in pairs)]))
+        fh.write(f"{len(a)}\n")
+        for row in np.atleast_2d(a):
+            pairs = row.reshape(-1, 1).view(np.float64).tolist()
+            fh.write("".join([f"{re:.16e} {im:.16e}\n" for re, im in pairs]))
 
 
 def _load(path, kind: str) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HermiticityError, ShapeError, SolutionError, _number
+from .errors import HermiticityError, ShapeError, SolutionError, _number, _require_memory
 from .linalg import HERMITICITY_RTOL, _checked_hermitian, _norm, as_square_complex, eig_hermitian
 from .model import BlockOperator, ModelParams
 
@@ -175,6 +175,10 @@ def verify_involution_solution(
 
 def _spectra_match(blocks: BlockOperator, x: np.ndarray) -> float:
     """Largest deviation of the merged decoupled block spectra from the full spectrum."""
+    # The two decoupled blocks and, beside them, at most five (2*dim)^2 matrices at once: the
+    # full matrix, its adjoint, the symmetrized sum and its halves, and LAPACK's copy.
+    _require_memory(16 * (2 + 5 * 4) * blocks.dim**2,
+                    f"solving the full 2*dim matrix at dim = {blocks.dim}")
     top, bottom = _decoupled_blocks(blocks, x)
     merged = np.sort(np.concatenate([eig_hermitian(top, vectors=False)[0],
                                      eig_hermitian(bottom, vectors=False)[0]]))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import krabi
 from krabi import _sectors, cli, linalg, model, riccati
 from krabi.cli import parse_complex, run
-from krabi.linalg import dump_vector, eig_hermitian, load_matrix
+from krabi.linalg import dump_matrix, dump_vector, eig_hermitian, load_matrix
 from krabi.model import ModelParams, build_full
 from krabi.parity import decompose, generalized_parity_signs
 from krabi.riccati import VerificationReport
@@ -93,12 +93,15 @@ class TestVerify:
         assert json.loads(out)["spectra_match"] <= 1e-10
 
     def test_dump_residual(self, capsys, tmp_path):
-        path = str(tmp_path / "residual.txt")
-        code, _, _ = invoke(capsys, ["verify", *MODEL, "--dump", path])
+        # The generalized parity's residual alpha*(x^2 - I) + (x h_plus - h_minus x) is
+        # exactly 0, and its file survives load_matrix and dump_matrix byte for byte.
+        path, again = tmp_path / "residual.txt", tmp_path / "again.txt"
+        code, _, _ = invoke(capsys, ["verify", *MODEL, "--dump", str(path)])
         assert code == 0
         res = load_matrix(path)
-        assert res.shape == (12, 12)
-        assert np.linalg.norm(res) <= 1e-12
+        assert res.shape == (12, 12) and not res.any()
+        dump_matrix(res, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_out_file(self, capsys, tmp_path):
         path = str(tmp_path / "report.json")
@@ -300,8 +303,9 @@ class TestEvolve:
         code, out, _ = invoke(capsys, self.ARGS[:-4] + ["--t-max", "0.5", "--steps", "2",
                                                         "--state", str(path)])
         assert code == 0
-        row_zero = [line.split(",", 2)[2] for line in out.splitlines()[1:13]]
-        assert row_zero == [line.replace(" ", ",") for line in path.read_text().splitlines()[1:]]
+        row_zero = out.splitlines()[1:13]
+        assert row_zero == [f"0.0000000000000000e+00,{i},{line.replace(' ', ',')}"
+                            for i, line in enumerate(path.read_text().splitlines()[1:])]
         assert "-0.0000000000000000e+00" in row_zero[0]
 
     @pytest.mark.parametrize("case", list(MALFORMED))
@@ -661,6 +665,9 @@ class TestErrorMessages:
         (["spectrum", *MODEL, "--levels", "two"], "argument --levels: invalid int value: 'two'"),
         # The library checks --steps too, before evolve divides t_max by it.
         (["evolve", *MODEL, "--t-max", "1", "--steps", "0"], "steps must be at least 1, got 0"),
+        # omega's rule has one home, ModelParams: a sweep from omega = 0 gets its text.
+        (["sweep", *MODEL, "--levels", "2", "--param", "omega", "--lo", "0", "--hi", "1",
+          "--steps", "3"], "omega must be finite and > 0, got 0.0"),
     ])
     def test_range_errors_keep_their_text(self, capsys, argv, line):
         assert invoke(capsys, argv) == (2, "", f"error: {line}\n")

@@ -1,10 +1,11 @@
 """The size guard: a request larger than physical memory is refused before it is allocated.
 
-Each guarded step (the sector eigensolve, the dense blocks, the states of
-``evolve``) compares its estimated allocation with the machine's physical
-memory. Here that reading is patched down to a few MB, so every refusal is
-checked without allocating anything large, and each estimate is checked
-against what tracemalloc sees the step allocate.
+Each guarded step (the sector eigensolve, the dense blocks, the full 2*dim
+solve of ``verify --spectra``, the states of ``evolve``, and the O(dim) work of
+plain ``verify`` and of ``parity-table``) compares its estimated allocation
+with the machine's physical memory. Here that reading is patched down to a few
+MB, so every refusal is checked without allocating anything large, and each
+estimate is checked against what tracemalloc sees the step allocate.
 """
 
 import tracemalloc
@@ -12,9 +13,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from krabi import _sectors, errors, model, spectra
+from krabi import _sectors, cli, errors, model, riccati, spectra
 from krabi.cli import run
 from krabi.model import ModelParams, build_blocks
+from krabi.parity import generalized_parity_signs
 from krabi.spectra import EvolutionSpec, evolve, ground_state, sector_spectrum
 
 #: The patched physical memory, in bytes.
@@ -50,19 +52,39 @@ class TestRefusal:
          "solving 8 sector matrices of size 256"),
         (["verify", *model_argv(1, 256), "--spectra"],
          "building the dense blocks at dim = 256"),
+        (["verify", *model_argv(2, 256), "--dump", "residual.txt", "--out", "report.json"],
+         "building the dense blocks at dim = 256"),
+        (["verify", *model_argv(1, 100000), "--out", "report.json"],
+         "verifying the parity at dim = 100000"),
+        (["parity-table", "--k", "3", "--dim", "40000", "--out", "table.csv"],
+         "tabulating the parity at dim = 40000"),
         (["sweep", *model_argv(2, 256), "--levels", "2", "--param", "g", "--lo", "0",
           "--hi", "0.1", "--steps", "2"], "building the dense blocks at dim = 256"),
-    ], ids=["spectrum", "evolve", "evolve-k4", "verify-spectra", "sweep"])
-    def test_one_error_line_before_any_large_allocation(self, capsys, small_memory, argv, what):
+    ], ids=["spectrum", "evolve", "evolve-k4", "verify-spectra", "verify-dump", "verify",
+            "parity-table", "sweep"])
+    def test_one_error_line_before_any_large_allocation(self, capsys, monkeypatch, tmp_path,
+                                                        small_memory, argv, what):
+        monkeypatch.chdir(tmp_path)
         run(["spectrum", *model_argv(1, 8), "--levels", "1"])  # builds the cached parser
         capsys.readouterr()
         peak, code = traced_peak(lambda: run(argv))
         out, err = capsys.readouterr()
-        assert code == 2 and out == ""
+        assert code == 2 and out == "" and not any(tmp_path.iterdir())
         assert err.startswith(f"error: {what} needs about ")
         assert err.endswith(f" MB, more than the {MEMORY / 1e6:.1f} MB of physical memory\n")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert peak < MEMORY / 4
+
+    def test_full_matrix_is_refused_after_the_blocks(self, capsys, monkeypatch, tmp_path,
+                                                     small_memory):
+        # At dim 128 the dense blocks (128*dim^2 bytes) fit in the 4 MB and the full 2*dim
+        # solve (352*dim^2 bytes) does not: no report and no residual file is written.
+        monkeypatch.chdir(tmp_path)
+        code = run(["verify", *model_argv(1, 128), "--spectra", "--dump", "residual.txt"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "") and not any(tmp_path.iterdir())
+        assert err == ("error: solving the full 2*dim matrix at dim = 128 needs about 5.8 MB, "
+                       "more than the 4.0 MB of physical memory\n")
 
     def test_message_gives_the_estimate(self, small_memory):
         # 8 * (2*512^2 stack + 512^2 copy + 16*512 band words) bytes.
@@ -117,7 +139,7 @@ class TestEstimates:
         def record(nbytes, request):
             recorded.append(nbytes)
 
-        for module in (_sectors, model, spectra):
+        for module in (_sectors, cli, model, riccati, spectra):
             monkeypatch.setattr(module, "_require_memory", record)
         return recorded
 
@@ -150,3 +172,42 @@ class TestEstimates:
         peak, (times, states) = traced_peak(lambda: evolve(params, spec))
         assert len(estimates) == 1 and peak <= estimates[0]
         assert states.shape == (steps + 1, 2 * dim) and np.isfinite(states).all()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("dim", [64, 130, 256])
+    def test_full_spectrum_solve(self, estimates, k, dim):
+        params = ModelParams(alpha=0.7, omega=1.0, g=0.3 + 0.1j, k=k, dim=dim)
+        blocks = build_blocks(params)
+        x = np.diag(generalized_parity_signs(k, dim).astype(np.complex128))
+        estimates.clear()
+        peak, _ = traced_peak(lambda: riccati._spectra_match(blocks, x))
+        assert len(estimates) == 1 and peak <= estimates[0]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("dim", [64, 130, 256])
+    def test_residual_dump_within_the_blocks(self, capsys, tmp_path, estimates, k, dim):
+        # The residual and its file, written one row at a time, need no estimate of their own:
+        # the whole command stays within the dense blocks' estimate.
+        argv = ["verify", *model_argv(k, dim), "--dump", str(tmp_path / "residual.txt")]
+        cli._parser()  # built once per process, outside the trace
+        peak, code = traced_peak(lambda: run(argv))
+        assert code == 0 and capsys.readouterr().err == ""
+        band, blocks = estimates
+        assert band == 64 * dim and peak <= blocks
+
+    # Below a few thousand Fock states the report's and the parser's own objects outweigh
+    # these O(dim) arrays; no guard is needed there.
+    @pytest.mark.parametrize("dim", [4096, 200000])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--k", "3", "--alpha", "0.7", "--omega", "1", "--g", "0.3+0.1i"],
+        ["verify", "--k", "1", "--alpha", "0.7", "--omega", "1", "--g", "0", "--candidate", "t"],
+        ["parity-table", "--k", "1"],
+        ["parity-table", "--k", "3"],
+    ], ids=["verify", "verify-t", "parity-table", "parity-table-k3"])
+    def test_band_verdict_and_parity_table(self, tmp_path, estimates, argv, dim):
+        command = [*argv, "--dim", str(dim), "--out", str(tmp_path / "out.txt")]
+        run(command)  # builds the cached parser
+        estimates.clear()
+        peak, code = traced_peak(lambda: run(command))
+        assert code == 0
+        assert len(estimates) == 1 and peak <= estimates[0]
