@@ -155,11 +155,24 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+#: Rows of ``parity-table`` formatted per chunk of its output.
+_TABLE_ROWS = 4096
+
+
+def _parity_rows(k: int, signs: np.ndarray):
+    """The parity table's text: the header, then chunks of ``_TABLE_ROWS`` rows."""
+    yield "p,n,l,sign\n"
+    for start in range(0, signs.size, _TABLE_ROWS):
+        chunk = signs[start : start + _TABLE_ROWS].tolist()
+        yield "".join([f"{p},{p // k},{p % k + 1},{sign:+d}\n"
+                       for p, sign in enumerate(chunk, start)])
+
+
 def _cmd_parity_table(args) -> int:
     k, dim = _k_dim(args.k, args.dim)
-    # The sign vector, and each row's text in the list and in the joined table: about
-    # 117 bytes per Fock state at dim = 200000.
-    _require_memory(128 * dim, f"tabulating the parity at dim = {dim}")
+    # Building the sign vector holds at most four int64 vectors of dim entries; then the
+    # signs and one chunk of rows: its ints, its strings and their text, about 105 B a row.
+    _require_memory(32 * dim + 256 * _TABLE_ROWS, f"tabulating the parity at dim = {dim}")
     signs = generalized_parity_signs(k, dim)
     if dim % k != 0:
         print(
@@ -167,10 +180,7 @@ def _cmd_parity_table(args) -> int:
             "sector sizes differ by one",
             file=sys.stderr,
         )
-    lines = ["p,n,l,sign"]
-    for p, sign in enumerate(signs.tolist()):
-        lines.append(f"{p},{p // k},{p % k + 1},{sign:+d}")
-    _emit(["\n".join(lines) + "\n"], args.out)
+    _emit(_parity_rows(k, signs), args.out)
     return 0
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HermiticityError, ShapeError, SolutionError, _number, _require_memory
-from .linalg import HERMITICITY_RTOL, _checked_hermitian, _norm, as_square_complex, eig_hermitian
+from .linalg import HERMITICITY_RTOL, _checked_hermitian, _eigh, _norm, as_square_complex
 from .model import BlockOperator, ModelParams
 
 #: Default relative verification tolerance. Two orders of headroom above
@@ -174,15 +174,17 @@ def verify_involution_solution(
 
 
 def _spectra_match(blocks: BlockOperator, x: np.ndarray) -> float:
-    """Largest deviation of the merged decoupled block spectra from the full spectrum."""
-    # The two decoupled blocks and, beside them, at most five (2*dim)^2 matrices at once: the
-    # full matrix, its adjoint, the symmetrized sum and its halves, and LAPACK's copy.
-    _require_memory(16 * (2 + 5 * 4) * blocks.dim**2,
+    """Largest deviation of the merged decoupled block spectra from the full spectrum.
+
+    For blocks and a sign-vector parity that krabi assembled exactly Hermitian: both
+    decoupled blocks are solved in one call and the full matrix in another, unchecked.
+    """
+    # At most nine dim x dim complex matrices at once, with a few vectors of levels: np.block
+    # holds alpha*I, its two block rows and the full matrix; then LAPACK copies the full matrix.
+    _require_memory(16 * (9 * blocks.dim**2 + 8 * blocks.dim),
                     f"solving the full 2*dim matrix at dim = {blocks.dim}")
-    top, bottom = _decoupled_blocks(blocks, x)
-    merged = np.sort(np.concatenate([eig_hermitian(top, vectors=False)[0],
-                                     eig_hermitian(bottom, vectors=False)[0]]))
-    full = eig_hermitian(blocks.full_matrix(), vectors=False)[0]
+    merged = np.sort(_eigh(np.stack(_decoupled_blocks(blocks, x)), vectors=False)[0], axis=None)
+    full = _eigh(blocks.full_matrix(), vectors=False)[0]
     return float(np.max(np.abs(merged - full)))
 
 

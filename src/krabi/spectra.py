@@ -14,7 +14,10 @@ call; g = 0 is solved at every k, on the band and the dense blocks. Only
 sweep still solves the dense blocks, one grid point after another in grid
 order, for their eigenvalues alone: the faster sector route grows the
 benchmark's speed-sized input pool past sweep-small's memory bound, so it
-waits for a batched sweep.
+waits for a batched sweep. Every solve here is one LAPACK call per model, on
+matrices krabi assembled exactly Hermitian, with no check:
+:func:`krabi.linalg.eig_hermitian`, with its Hermiticity check and
+symmetrization, is the entry for matrices users pass.
 
 Time evolution uses eigendecomposition rather than ODE stepping, so there
 is no step-size parameter to tune: the state is rotated into the block
@@ -46,7 +49,7 @@ from ._format import WORDS, format_fields
 from ._sectors import (SectorSystem, _verified_signs, fock_mask, sector_axes, sector_eigensystem,
                        sector_levels, to_sectors)
 from .errors import ShapeError, _levels, _number, _require_memory, _steps
-from .linalg import _array, eig_hermitian
+from .linalg import _array, _eigh
 from .model import ModelParams, build_blocks
 from .riccati import _decoupled_blocks
 
@@ -143,16 +146,16 @@ def sweep(spec: SweepSpec) -> list:
 
     Grid order, then block "+" before "-", then level index. The parity is
     verified on the band at each point, as in :func:`sector_spectrum`; the
-    blocks are then solved dense, for eigenvalues only.
+    two dense blocks, assembled exactly Hermitian, are then solved in one
+    call, for eigenvalues only.
     """
     rows = []
     for value in np.linspace(spec.lo, spec.hi, spec.steps):
         value = float(value)
         # Dense on purpose: a faster sweep grows the benchmark's input pool past its RSS bound.
-        top, bottom = _verified_blocks(spec.params_at(value))
-        for block, matrix in (("+", top), ("-", bottom)):
-            levels = eig_hermitian(matrix, vectors=False)[0][: spec.levels]
-            rows += [(value, block, i, float(w)) for i, w in enumerate(levels)]
+        levels = _eigh(np.stack(_verified_blocks(spec.params_at(value))), vectors=False)[0]
+        for block, lowest in zip("+-", levels[:, : spec.levels].tolist()):
+            rows += [(value, block, i, w) for i, w in enumerate(lowest)]
     return rows
 
 
@@ -212,7 +215,12 @@ def _propagator(system: SectorSystem, state: np.ndarray, dt: float, steps: int):
                          f"and t reaches {steps * dt:.3e}")
     upper, lower = state[:dim], state[dim:]
     frames = np.conj(phase) * np.stack(((upper + signs * lower) / 2, (lower - signs * upper) / 2))
-    c = u.swapaxes(-1, -2) @ to_sectors(frames, k)[..., None]
+    v = to_sectors(frames, k)
+    c = np.empty(v.shape + (1,), dtype=np.complex128)
+    # u.T as a C-ordered complex copy, one sector at a time: a real product over (re, im)
+    # columns sums in another order, which changes the last bits of c.
+    for sector in np.ndindex(v.shape[:-1]):
+        c[sector] = np.ascontiguousarray(u[sector].T, dtype=np.complex128) @ v[sector][:, None]
     column = signs[:, None]
 
     def states_at(start: int, stop: int) -> np.ndarray:
@@ -252,8 +260,8 @@ def evolve(params: ModelParams, spec: EvolutionSpec) -> tuple[np.ndarray, np.nda
     _check_length(params, spec)
     comps = 2 * params.dim
     span, n = _steps_per(comps)[1], -(-params.dim // params.k)
-    # The states, six span-sized buffers, and the eigenvectors u taken as complex.
-    _require_memory(16 * comps * (spec.steps + 1 + 6 * span) + 32 * params.k * n * n,
+    # The states, six span-sized buffers, and one sector's eigenvectors taken as complex.
+    _require_memory(16 * comps * (spec.steps + 1 + 6 * span) + 16 * n * n,
                     f"evolving {spec.steps + 1} states of {comps} components")
     states_at = _propagator(sector_eigensystem(params), spec.initial_state, spec.dt, spec.steps)
     times = np.arange(spec.steps + 1, dtype=np.float64) * spec.dt

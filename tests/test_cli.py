@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 import krabi
 from krabi import _sectors, cli, linalg, model, riccati
+from krabi._sectors import verify_band
 from krabi.cli import parse_complex, run
 from krabi.linalg import dump_matrix, dump_vector, eig_hermitian, load_matrix
-from krabi.model import ModelParams, build_full
+from krabi.model import ModelParams, build_blocks, build_full
 from krabi.parity import decompose, generalized_parity_signs
-from krabi.riccati import VerificationReport
+from krabi.riccati import VerificationReport, block_diagonalize
 from krabi import spectra
 from krabi.spectra import (EvolutionSpec, SweepSpec, evolve, ground_state, sector_spectrum,
                            trajectory_csv)
@@ -189,6 +190,20 @@ class TestParityTable:
         code, _, err = invoke(capsys, ["parity-table", "--k", "2", "--dim", "7"])
         assert code == 0
         assert err.startswith("warning:")
+
+    def test_streamed_chunks_join_to_the_whole_table(self, capsys, tmp_path):
+        # 10001 rows take three chunks of rows, and k = 3 does not divide 10001.
+        k, dim = 3, 10001
+        lines = ["p,n,l,sign"]
+        for p, sign in enumerate(generalized_parity_signs(k, dim).tolist()):
+            lines.append(f"{p},{p // k},{p % k + 1},{sign:+d}")
+        table = "\n".join(lines) + "\n"
+        argv = ["parity-table", "--k", str(k), "--dim", str(dim)]
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (0, table) and err.startswith("warning:")
+        path = tmp_path / "table.csv"
+        assert invoke(capsys, [*argv, "--out", str(path)])[:2] == (0, "")
+        assert path.read_bytes() == table.encode("ascii")
 
 
 class TestSpectrumAndSweep:
@@ -514,6 +529,66 @@ class TestValuesOnly:
         assert abs(got - want) <= 1e-12 * np.max(np.abs(full))
 
 
+def forbid_checked_solver(monkeypatch):
+    """Make eig_hermitian raise in every krabi module that binds it."""
+    def checked(*_args, **_kwargs):
+        raise AssertionError("eig_hermitian called on a matrix krabi assembled")
+
+    for module in (krabi, model, riccati, linalg, spectra, cli, _sectors):
+        if hasattr(module, "eig_hermitian"):
+            monkeypatch.setattr(module, "eig_hermitian", checked)
+
+
+# (k, dim, alpha, g): k = 1...4, with dims that k does not divide, g = 0 and alpha < 0.
+UNCHECKED_MODELS = [
+    (1, 9, -0.6, 0.35 + 0.1j),
+    (1, 10, 0.5, 0j),
+    (2, 13, -0.4, 0.2 - 0.1j),
+    (2, 15, 0.3, 0j),
+    (3, 20, -1.1, 0.04 + 0.03j),
+    (3, 25, 0.6, 0j),
+    (4, 30, -0.8, 0.02 - 0.01j),
+    (4, 31, -0.2, 0j),
+]
+
+
+class TestUncheckedSolves:
+    """sweep and verify --spectra solve matrices krabi assembled exactly Hermitian, without
+    eig_hermitian, and print the bytes that eig_hermitian of each block gives."""
+
+    @pytest.mark.parametrize("param,lo,hi", [("g", 0.0, 0.3), ("alpha", -0.5, 0.6),
+                                             ("omega", 0.5, 1.5)])
+    @pytest.mark.parametrize("k,dim,alpha,g", UNCHECKED_MODELS)
+    def test_sweep(self, capsys, monkeypatch, k, dim, alpha, g, param, lo, hi):
+        params = ModelParams(alpha=alpha, omega=1.1, g=g, k=k, dim=dim)
+        spec = SweepSpec(base=params, param=param, lo=lo, hi=hi, steps=4, levels=dim)
+        x = np.diag(generalized_parity_signs(k, dim).astype(complex))
+        lines = ["param,block,level,eigenvalue"]
+        for value in np.linspace(lo, hi, 4):
+            blocks = block_diagonalize(build_blocks(spec.params_at(float(value))), x, tol=0.0)
+            for sign, block in zip("+-", blocks):
+                lines += [f"{value:.16e},{sign},{i},{w:.16e}"
+                          for i, w in enumerate(eig_hermitian(block, vectors=False)[0])]
+        forbid_checked_solver(monkeypatch)
+        argv = ["sweep", *model_argv(k, dim, alpha, g), "--param", param, f"--lo={lo!r}",
+                f"--hi={hi!r}", "--steps", "4", "--levels", str(dim)]
+        assert invoke(capsys, argv) == (0, "\n".join(lines) + "\n", "")
+
+    @pytest.mark.parametrize("k,dim,alpha,g", UNCHECKED_MODELS)
+    def test_verify_spectra(self, capsys, monkeypatch, k, dim, alpha, g):
+        params = ModelParams(alpha=alpha, omega=1.1, g=g, k=k, dim=dim)
+        signs = generalized_parity_signs(k, dim)
+        top, bottom = block_diagonalize(build_blocks(params), np.diag(signs.astype(complex)))
+        merged = np.sort(np.concatenate([eig_hermitian(top, vectors=False)[0],
+                                         eig_hermitian(bottom, vectors=False)[0]]))
+        full = eig_hermitian(build_full(params), vectors=False)[0]
+        report = verify_band(params, signs, riccati.DEFAULT_TOLERANCE)
+        report.spectra_match = float(np.max(np.abs(merged - full)))
+        forbid_checked_solver(monkeypatch)
+        argv = ["verify", *model_argv(k, dim, alpha, g), "--spectra"]
+        assert invoke(capsys, argv) == (0, report.to_json() + "\n", "")
+
+
 class TestOverflow:
     HUGE = ["--k", "1", "--dim", "4", "--alpha", "1"]
 
@@ -590,7 +665,7 @@ class TestOverflow:
 
 class TestErrorPaths:
     @pytest.mark.parametrize("argv,target", [
-        (["verify", *MODEL, "--spectra"], (riccati, "eig_hermitian")),
+        (["verify", *MODEL, "--spectra"], (riccati, "_eigh")),
         (["verify", *MODEL, "--dump", "residual.txt"], (cli, "build_blocks")),
         (["spectrum", *MODEL, "--levels", "2"], (_sectors, "_eigh")),
         (["evolve", *MODEL, "--t-max", "1", "--steps", "2"], (_sectors, "_eigh")),
@@ -614,7 +689,7 @@ class TestErrorPaths:
         def refuse(*_args, **_kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(riccati, "eig_hermitian", refuse)
+        monkeypatch.setattr(riccati, "_eigh", refuse)
         assert invoke(capsys, ["verify", *MODEL, "--spectra"]) == (2, "", "error: MemoryError\n")
 
     def test_zero_k_rejected(self, capsys):

@@ -56,8 +56,8 @@ class TestRefusal:
          "building the dense blocks at dim = 256"),
         (["verify", *model_argv(1, 100000), "--out", "report.json"],
          "verifying the parity at dim = 100000"),
-        (["parity-table", "--k", "3", "--dim", "40000", "--out", "table.csv"],
-         "tabulating the parity at dim = 40000"),
+        (["parity-table", "--k", "3", "--dim", "100000", "--out", "table.csv"],
+         "tabulating the parity at dim = 100000"),
         (["sweep", *model_argv(2, 256), "--levels", "2", "--param", "g", "--lo", "0",
           "--hi", "0.1", "--steps", "2"], "building the dense blocks at dim = 256"),
     ], ids=["spectrum", "evolve", "evolve-k4", "verify-spectra", "verify-dump", "verify",
@@ -77,13 +77,13 @@ class TestRefusal:
 
     def test_full_matrix_is_refused_after_the_blocks(self, capsys, monkeypatch, tmp_path,
                                                      small_memory):
-        # At dim 128 the dense blocks (128*dim^2 bytes) fit in the 4 MB and the full 2*dim
-        # solve (352*dim^2 bytes) does not: no report and no residual file is written.
+        # At dim 170 the dense blocks (128*dim^2 bytes) fit in the 4 MB and the full 2*dim
+        # solve (144*dim^2 + 128*dim bytes) does not: no report and no residual file is written.
         monkeypatch.chdir(tmp_path)
-        code = run(["verify", *model_argv(1, 128), "--spectra", "--dump", "residual.txt"])
+        code = run(["verify", *model_argv(1, 170), "--spectra", "--dump", "residual.txt"])
         out, err = capsys.readouterr()
         assert (code, out) == (2, "") and not any(tmp_path.iterdir())
-        assert err == ("error: solving the full 2*dim matrix at dim = 128 needs about 5.8 MB, "
+        assert err == ("error: solving the full 2*dim matrix at dim = 170 needs about 4.2 MB, "
                        "more than the 4.0 MB of physical memory\n")
 
     def test_message_gives_the_estimate(self, small_memory):
