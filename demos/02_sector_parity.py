@@ -1,9 +1,10 @@
 """Sector decomposition and the generalized parity operator.
 
 Shows how the Fock basis splits into k interleaved sectors, that the
-sector projectors resolve the identity, and that the generalized parity
-assembled from the per-sector signs reduces to the bosonic parity at
-k = 1 and to the two-photon parity at k = 2.
+sector projectors resolve the identity, that the generalized parity's
+closed form (-1)^(p // k) is the paper's construction (each sector's signs
+(-1)^n placed on its Fock indices), and that it reduces to the bosonic
+parity at k = 1 and to the two-photon parity at k = 2.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from krabi import (
     bosonic_parity_signs,
     decompose,
     generalized_parity_signs,
+    partial_parity_signs,
     two_photon_parity_signs,
 )
 
@@ -28,6 +30,15 @@ print("projector diagonals sum to:", total.tolist(), "(resolution of identity)")
 print("\ngeneralized parity signs by Fock index:")
 for kk in (1, 2, 3):
     print(f"  k={kk}: {generalized_parity_signs(kk, dim).tolist()}")
+
+print("\nthe per-sector construction, each sector's (-1)^n on its members:")
+for kk in (1, 2, 3):
+    sectors = decompose(kk, dim)
+    assembled = np.zeros(dim, dtype=np.int64)
+    for l in range(1, kk + 1):
+        assembled[sectors.members[l - 1]] = partial_parity_signs(sectors, l)
+    print(f"  k={kk} equals generalized_parity_signs:",
+          np.array_equal(assembled, generalized_parity_signs(kk, dim)))
 
 print("\nspecial cases:")
 print("  k=1 equals bosonic parity:",

@@ -170,9 +170,9 @@ def _parity_rows(k: int, signs: np.ndarray):
 
 def _cmd_parity_table(args) -> int:
     k, dim = _k_dim(args.k, args.dim)
-    # Building the sign vector holds at most four int64 vectors of dim entries; then the
-    # signs and one chunk of rows: its ints, its strings and their text, about 105 B a row.
-    _require_memory(32 * dim + 256 * _TABLE_ROWS, f"tabulating the parity at dim = {dim}")
+    # The int64 sign vector, built in place, and one chunk of rows beside it: its ints,
+    # its strings and their text, about 105 B a row.
+    _require_memory(8 * dim + 256 * _TABLE_ROWS, f"tabulating the parity at dim = {dim}")
     signs = generalized_parity_signs(k, dim)
     if dim % k != 0:
         print(

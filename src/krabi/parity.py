@@ -8,19 +8,19 @@ a per-sector sign operator act as a symmetry of the k-photon Rabi blocks:
 flipping the sign of every odd sector level anticommutes with a^k and
 commutes with a^dag a, hence swaps h_plus and h_minus.
 
-The generalized parity assembled from those per-sector signs is diagonal in
-the Fock basis, Hermitian, and squares to the identity, so it is held as
-its integer sign vector s, and every parity here is such a vector. Where a
-matrix is needed, as by the dense Riccati checks of :mod:`krabi.riccati`,
-it is ``np.diag(s)``. For k = 1 the generalized parity reduces to the
-bosonic parity's signs (-1)^n and for k = 2 to the two-photon parity's
-signs (-1)^(n(n-1)/2).
+The generalized parity assembled from those per-sector signs is the
+diagonal s_p = (-1)^(p // k), Hermitian and squaring to the identity, so it
+is held as its integer sign vector s, and every parity here is such a
+vector. Where a matrix is needed, as by the dense Riccati checks of
+:mod:`krabi.riccati`, it is ``np.diag(s)``. For k = 1 the generalized
+parity reduces to the bosonic parity's signs (-1)^n and for k = 2 to the
+two-photon parity's signs (-1)^(n(n-1)/2).
 
 The operators restricted to one sector, and the band amplitudes of a^k,
 have one home: :mod:`krabi._sectors`, whose sector tridiagonals are checked
 entrywise against :meth:`SectorDecomposition.compress` of the dense blocks
-in the test suite. Here the decomposition's projector diagonals and
-compression serve as that oracle.
+in the test suite. The decomposition is the tests' oracle, there and for
+the closed form: its ``members`` filled with :func:`partial_parity_signs`.
 """
 
 from __future__ import annotations
@@ -97,18 +97,17 @@ def partial_parity_signs(sd: SectorDecomposition, l: int) -> np.ndarray:
 
 
 def generalized_parity_signs(k: int, dim: int) -> np.ndarray:
-    """Integer sign vector of the generalized parity on ``dim`` Fock states.
+    """Integer signs (-1)^(p // k) of the generalized parity on ``dim`` Fock states.
 
-    Built literally from its definition: the Fock state at index
-    p = k*n + l - 1 carries the sign (-1)^n of its sector level. The
-    equivalent closed form (-1)^(p // k) is asserted against this
-    constructor in the tests, not used to build it.
+    Fock index p = k*n + l - 1 carries the sign (-1)^n of its sector level
+    n = p // k. The vector is built in place in one int64 buffer.
     """
-    sd = decompose(k, dim)
-    signs = np.zeros(dim, dtype=np.int64)
-    for l in range(1, k + 1):
-        indices = sd.members[l - 1]
-        signs[indices] = partial_parity_signs(sd, l)
+    k, dim = _k_dim(k, dim)
+    signs = np.arange(dim, dtype=np.int64)
+    signs //= k
+    signs &= 1
+    signs *= -2
+    signs += 1
     return signs
 
 

@@ -56,8 +56,8 @@ class TestRefusal:
          "building the dense blocks at dim = 256"),
         (["verify", *model_argv(1, 100000), "--out", "report.json"],
          "verifying the parity at dim = 100000"),
-        (["parity-table", "--k", "3", "--dim", "100000", "--out", "table.csv"],
-         "tabulating the parity at dim = 100000"),
+        (["parity-table", "--k", "3", "--dim", "400000", "--out", "table.csv"],
+         "tabulating the parity at dim = 400000"),
         (["sweep", *model_argv(2, 256), "--levels", "2", "--param", "g", "--lo", "0",
           "--hi", "0.1", "--steps", "2"], "building the dense blocks at dim = 256"),
     ], ids=["spectrum", "evolve", "evolve-k4", "verify-spectra", "verify-dump", "verify",
@@ -211,3 +211,10 @@ class TestEstimates:
         peak, code = traced_peak(lambda: run(command))
         assert code == 0
         assert len(estimates) == 1 and peak <= estimates[0]
+
+    @pytest.mark.parametrize("k", [1, 3, 64])
+    def test_parity_signs_take_one_vector(self, k):
+        # The signs are built in place: the int64 result and a few hundred bytes of overhead.
+        dim = 200000
+        peak, signs = traced_peak(lambda: generalized_parity_signs(k, dim))
+        assert signs.shape == (dim,) and peak <= 8 * dim + 4096

@@ -3,10 +3,10 @@
 The sector core's band (d, e), built from the closed-form amplitudes amp_p,
 is checked entrywise against an independent route: projector
 compression of the gauge-rotated dense decoupled blocks, whose a^dag a and
-a^k leave no cross-sector blocks. The generalized parity built from the
-sector definition is checked against the floor-based sign shortcut and
-against the dedicated k = 1 and k = 2 parities. Every parity is a sign
-vector; the matrix checks take np.diag of it.
+a^k leave no cross-sector blocks. The generalized parity, built in the
+closed form (-1)^(p // k), is checked against the paper's per-sector
+construction and against the dedicated k = 1 and k = 2 parities. Every
+parity is a sign vector; the matrix checks take np.diag of it.
 """
 
 import numpy as np
@@ -154,6 +154,17 @@ class TestPartialParity:
             partial_parity_signs(sd, 3)
 
 
+def assert_is_the_per_sector_construction(k, dim):
+    """The closed form (-1)^(p // k) equals the paper's construction: each sector's
+    partial parity signs (-1)^n placed on its Fock indices."""
+    sd = decompose(k, dim)
+    expected = np.zeros(dim, dtype=np.int64)
+    for l in range(1, k + 1):
+        expected[sd.members[l - 1]] = partial_parity_signs(sd, l)
+    signs = generalized_parity_signs(k, dim)
+    assert signs.dtype == np.int64 and np.array_equal(signs, expected)
+
+
 class TestGeneralizedParity:
     def test_k1_is_bosonic_parity(self):
         assert np.array_equal(generalized_parity_signs(1, 17), bosonic_parity_signs(17))
@@ -170,9 +181,11 @@ class TestGeneralizedParity:
     @pytest.mark.parametrize("ragged", [False, True])
     def test_floor_sign_shortcut_agrees(self, k, ragged):
         dim = 5 * k + 1 if ragged else 2 * k
-        signs = generalized_parity_signs(k, dim)
-        shortcut = np.array([(-1) ** (p // k) for p in range(dim)])
-        assert np.array_equal(signs, shortcut)
+        assert_is_the_per_sector_construction(k, dim)
+
+    @pytest.mark.parametrize("k,dim", [(125, 512), (256, 512)])
+    def test_floor_sign_shortcut_agrees_at_large_k(self, k, dim):
+        assert_is_the_per_sector_construction(k, dim)
 
     @pytest.mark.parametrize("k,dim", [(1, 8), (2, 12), (3, 9), (5, 21)])
     def test_involution_and_hermiticity(self, k, dim):
