@@ -3,8 +3,9 @@
 Shows how the Fock basis splits into k interleaved sectors, that the
 sector projectors resolve the identity, that the generalized parity's
 closed form (-1)^(p // k) is the paper's construction (each sector's signs
-(-1)^n placed on its Fock indices), and that it reduces to the bosonic
-parity at k = 1 and to the two-photon parity at k = 2.
+(-1)^n placed on its Fock indices), and that the bosonic and two-photon
+parities, built by the same kernel (-1)^(p // j) at j = 1 and j = 2, are
+the papers' formulas (-1)^n and (-1)^(n(n-1)/2).
 """
 
 import numpy as np
@@ -40,8 +41,11 @@ for kk in (1, 2, 3):
     print(f"  k={kk} equals generalized_parity_signs:",
           np.array_equal(assembled, generalized_parity_signs(kk, dim)))
 
-print("\nspecial cases:")
-print("  k=1 equals bosonic parity:",
-      np.array_equal(generalized_parity_signs(1, dim), bosonic_parity_signs(dim)))
-print("  k=2 equals two-photon parity:",
-      np.array_equal(generalized_parity_signs(2, dim), two_photon_parity_signs(dim)))
+print("\nthe papers' formulas, in Python integers, against the vectors:")
+for name, formula, signs in (
+    ("(-1)^n", lambda n: (-1) ** n, bosonic_parity_signs(dim)),
+    ("(-1)^(n(n-1)/2)", lambda n: (-1) ** (n * (n - 1) // 2), two_photon_parity_signs(dim)),
+):
+    expected = [formula(n) for n in range(dim)]
+    print(f"  {name:>16}: {expected}")
+    print(f"  {'vector':>16}: {signs.tolist()}  equal: {signs.tolist() == expected}")

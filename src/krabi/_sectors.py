@@ -173,12 +173,13 @@ def sector_band(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def _solve(params: ModelParams, vectors: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """``(signs, w, u)``: :func:`sector_band`, filled into the dense ``(2, k, n, n)`` stack
     and solved in one call, for the levels alone (u None) or with the vectors."""
-    signs, d, e = sector_band(params)
-    n = d.shape[-1]
+    sectors, n = 2 * params.k, -(-params.dim // params.k)
     # Float64 words: the stack and LAPACK's copy of one sector; with the vectors,
-    # u and that sector's workspace; and the band's O(dim) arrays.
-    words = d.size * n + n * n + (d.size * n + 2 * n * n if vectors else 0) + 16 * params.dim
-    _require_memory(8 * words, f"solving {d.shape[0] * d.shape[1]} sector matrices of size {n}")
+    # u and that sector's workspace; and the band's O(dim) arrays. Judged before the band.
+    stack = sectors * n * n
+    words = stack + n * n + (stack + 2 * n * n if vectors else 0) + 16 * params.dim
+    _require_memory(8 * words, f"solving {sectors} sector matrices of size {n}")
+    signs, d, e = sector_band(params)
     t = np.zeros(d.shape + (n,))
     flat = t.reshape(d.shape[:-1] + (n * n,))  # diagonals are strided slices
     flat[..., :: n + 1] = d

@@ -31,7 +31,7 @@ from ._sectors import verify_band
 from .errors import _k_dim, _number, _require_memory, _steps
 from .linalg import dump_matrix, load_vector
 from .model import ModelParams, build_blocks
-from .parity import bosonic_parity_signs, generalized_parity_signs, two_photon_parity_signs
+from .parity import _floor_signs, generalized_parity_signs
 from .riccati import DEFAULT_TOLERANCE, _spectra_match, residual
 from .spectra import SweepSpec, _evolve_csv, sector_spectrum, sweep, sweep_csv
 
@@ -135,12 +135,7 @@ def _cmd_verify(args) -> int:
     # The sign vector, the amplitudes and the band verdict's temporaries: at most eight
     # float64 or int64 vectors of dim entries.
     _require_memory(8 * 8 * params.dim, f"verifying the parity at dim = {params.dim}")
-    if args.candidate == "xk":
-        signs = generalized_parity_signs(params.k, params.dim)
-    elif args.candidate == "p":
-        signs = bosonic_parity_signs(params.dim)
-    else:
-        signs = two_photon_parity_signs(params.dim)
+    signs = _floor_signs({"xk": params.k, "p": 1, "t": 2}[args.candidate], params.dim)
     report = verify_band(params, signs, args.tol)
     compare = args.spectra and report.passed
     if compare or args.dump is not None:

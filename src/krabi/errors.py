@@ -43,11 +43,17 @@ def _dim(dim) -> int:
     return dim
 
 
-def _k_dim(k, dim) -> tuple[int, int]:
-    """A photon number k >= 1 and a truncation that keeps two states per sector."""
-    k, dim = _integer(k, "k"), _integer(dim, "dim")
+def _k(k) -> int:
+    """A photon number k >= 1."""
+    k = _integer(k, "k")
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
+    return k
+
+
+def _k_dim(k, dim) -> tuple[int, int]:
+    """A photon number k >= 1 and a truncation that keeps two states per sector."""
+    k, dim = _k(k), _integer(dim, "dim")
     if dim < 2 * k:
         raise ShapeError(f"dim must be at least 2*k = {2 * k}, got {dim}")
     return k, dim

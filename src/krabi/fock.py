@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError, _dim, _integer
+from .errors import ShapeError, _dim, _k
 from .linalg import as_square_complex
 
 
@@ -42,9 +42,7 @@ def power_k(op, k: int) -> np.ndarray:
     Requires k >= 1 (zero-photon coupling is not a meaningful model and is
     rejected) and dim >= k + 1 so that op^k can act nontrivially.
     """
-    k = _integer(k, "k")
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    k = _k(k)
     op = as_square_complex(op, "op")
     if op.shape[0] < k + 1:
         raise ShapeError(f"dim must be at least k + 1 = {k + 1}, got {op.shape[0]}")

@@ -82,9 +82,14 @@ class BlockOperator:
         return self.h_plus.shape[0]
 
     def full_matrix(self) -> np.ndarray:
-        """Dense 2*dim matrix [[h_plus, alpha*I], [alpha*I, h_minus]]."""
-        v = self.alpha * np.eye(self.dim, dtype=np.complex128)
-        return np.block([[self.h_plus, v], [v, self.h_minus]])
+        """Dense 2*dim matrix [[h_plus, alpha*I], [alpha*I, h_minus]], filled in place."""
+        dim = self.dim
+        full = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
+        full[:dim, :dim] = self.h_plus
+        full[dim:, dim:] = self.h_minus
+        np.fill_diagonal(full[:dim, dim:], self.alpha)
+        np.fill_diagonal(full[dim:, :dim], self.alpha)
+        return full
 
 
 def coupling_term(params: ModelParams) -> np.ndarray:
@@ -96,11 +101,16 @@ def coupling_term(params: ModelParams) -> np.ndarray:
     return np.conj(params.g) * a_k + params.g * a_k.conj().T
 
 
-def build_blocks(params: ModelParams) -> BlockOperator:
-    """Blocks h_plus, h_minus and the off-diagonal blocks' value alpha."""
+def _require_blocks_memory(dim: int) -> None:
+    """The size guard of :func:`build_blocks` at truncation ``dim``."""
     # N, a, a^k with matrix_power's temporaries, the coupling, h_plus and h_minus:
     # at most 8 dim x dim complex matrices at once.
-    _require_memory(8 * 16 * params.dim**2, f"building the dense blocks at dim = {params.dim}")
+    _require_memory(8 * 16 * dim**2, f"building the dense blocks at dim = {dim}")
+
+
+def build_blocks(params: ModelParams) -> BlockOperator:
+    """Blocks h_plus, h_minus and the off-diagonal blocks' value alpha."""
+    _require_blocks_memory(params.dim)
     n_op = number(params.dim)
     w = coupling_term(params)
     return BlockOperator(h_plus=params.omega * n_op + w, h_minus=params.omega * n_op - w,

@@ -12,9 +12,10 @@ The generalized parity assembled from those per-sector signs is the
 diagonal s_p = (-1)^(p // k), Hermitian and squaring to the identity, so it
 is held as its integer sign vector s, and every parity here is such a
 vector. Where a matrix is needed, as by the dense Riccati checks of
-:mod:`krabi.riccati`, it is ``np.diag(s)``. For k = 1 the generalized
-parity reduces to the bosonic parity's signs (-1)^n and for k = 2 to the
-two-photon parity's signs (-1)^(n(n-1)/2).
+:mod:`krabi.riccati`, it is ``np.diag(s)``. The bosonic parity's signs
+(-1)^n and the two-photon parity's signs (-1)^(n(n-1)/2) are the same
+family at k = 1 and k = 2, since n(n-1)/2 = n // 2 (mod 2): one kernel,
+(-1)^(p // j), builds all three with j = k, 1 or 2.
 
 The operators restricted to one sector, and the band amplitudes of a^k,
 have one home: :mod:`krabi._sectors`, whose sector tridiagonals are checked
@@ -96,35 +97,36 @@ def partial_parity_signs(sd: SectorDecomposition, l: int) -> np.ndarray:
     return signs
 
 
-def generalized_parity_signs(k: int, dim: int) -> np.ndarray:
-    """Integer signs (-1)^(p // k) of the generalized parity on ``dim`` Fock states.
-
-    Fock index p = k*n + l - 1 carries the sign (-1)^n of its sector level
-    n = p // k. The vector is built in place in one int64 buffer.
-    """
-    k, dim = _k_dim(k, dim)
-    signs = np.arange(dim, dtype=np.int64)
-    signs //= k
+def _floor_signs(j: int, size: int) -> np.ndarray:
+    """Integer signs (-1)^(p // j) for p < ``size``, built in place in one int64 buffer."""
+    signs = np.arange(size, dtype=np.int64)
+    signs //= j
     signs &= 1
     signs *= -2
     signs += 1
     return signs
 
 
+def generalized_parity_signs(k: int, dim: int) -> np.ndarray:
+    """Integer signs (-1)^(p // k) of the generalized parity on ``dim`` Fock states.
+
+    Fock index p = k*n + l - 1 carries the sign (-1)^n of its sector level
+    n = p // k: the kernel at j = k.
+    """
+    k, dim = _k_dim(k, dim)
+    return _floor_signs(k, dim)
+
+
 def bosonic_parity_signs(dim: int) -> np.ndarray:
-    """Signs (-1)^n of the bosonic parity operator."""
-    dim = _dim(dim)
-    signs = np.ones(dim, dtype=np.int64)
-    signs[1::2] = -1
-    return signs
+    """Signs (-1)^n of the bosonic parity operator: the kernel at j = 1."""
+    return _floor_signs(1, _dim(dim))
 
 
 def two_photon_parity_signs(dim: int) -> np.ndarray:
-    """Signs (-1)^(n(n-1)/2) of the two-photon parity operator.
+    """Signs (-1)^(n(n-1)/2) of the two-photon parity operator: the kernel at j = 2.
 
     The phase exp(i*pi*n(n-1)/2) is real for every n because n(n-1)/2 is an
-    integer, so the operator reduces to this sign vector.
+    integer, and n(n-1)/2 = n // 2 (mod 2), so the operator reduces to the
+    signs (-1)^(n // 2).
     """
-    dim = _dim(dim)
-    n = np.arange(dim, dtype=np.int64)
-    return np.where((n * (n - 1) // 2) % 2 == 0, 1, -1).astype(np.int64)
+    return _floor_signs(2, _dim(dim))

@@ -179,9 +179,10 @@ def _spectra_match(blocks: BlockOperator, x: np.ndarray) -> float:
     For blocks and a sign-vector parity that krabi assembled exactly Hermitian: both
     decoupled blocks are solved in one call and the full matrix in another, unchecked.
     """
-    # At most nine dim x dim complex matrices at once, with a few vectors of levels: np.block
-    # holds alpha*I, its two block rows and the full matrix; then LAPACK copies the full matrix.
-    _require_memory(16 * (9 * blocks.dim**2 + 8 * blocks.dim),
+    # At most eight dim x dim complex matrices at once, with a few vectors of levels: the
+    # full matrix, filled in place, and LAPACK's copy of it. The decoupled blocks, their
+    # temporaries and their stack, four at most, are freed before it.
+    _require_memory(16 * (8 * blocks.dim**2 + 8 * blocks.dim),
                     f"solving the full 2*dim matrix at dim = {blocks.dim}")
     merged = np.sort(_eigh(np.stack(_decoupled_blocks(blocks, x)), vectors=False)[0], axis=None)
     full = _eigh(blocks.full_matrix(), vectors=False)[0]

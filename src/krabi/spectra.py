@@ -50,7 +50,7 @@ from ._sectors import (SectorSystem, _verified_signs, fock_mask, sector_axes, se
                        sector_levels, to_sectors)
 from .errors import ShapeError, _levels, _number, _require_memory, _steps
 from .linalg import _array, _eigh
-from .model import ModelParams, build_blocks
+from .model import ModelParams, _require_blocks_memory, build_blocks
 from .riccati import _decoupled_blocks
 
 _SWEEPABLE = ("g", "alpha", "omega")
@@ -149,6 +149,7 @@ def sweep(spec: SweepSpec) -> list:
     two dense blocks, assembled exactly Hermitian, are then solved in one
     call, for eigenvalues only.
     """
+    _require_blocks_memory(spec.base.dim)  # before the first point's band
     rows = []
     for value in np.linspace(spec.lo, spec.hi, spec.steps):
         value = float(value)

@@ -144,6 +144,18 @@ class TestVerify:
         if expected == 0:
             assert report["residual_norm"] == 0.0
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("candidate", ["xk", "p", "t"])
+    def test_exit_code_follows_the_family_rule(self, capsys, k, candidate):
+        # Each candidate is (-1)^(p // j), j = k, 1 or 2: it passes exactly when j divides k
+        # and k/j is odd.
+        j = {"xk": k, "p": 1, "t": 2}[candidate]
+        solves = k % j == 0 and (k // j) % 2 == 1
+        code, out, _ = invoke(capsys, ["verify", "--k", str(k), "--dim", "24", "--alpha", "0.7",
+                                       "--omega", "1", "--g", "0.3+0.1i",
+                                       "--candidate", candidate])
+        assert code == (0 if solves else 1) and json.loads(out)["passed"] is solves
+
     @pytest.mark.parametrize("extra", [[], ["--candidate", "p", "--spectra"]])
     def test_builds_no_dense_matrix_without_dump_or_passing_spectra(self, capsys, monkeypatch,
                                                                     extra):

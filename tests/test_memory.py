@@ -16,7 +16,7 @@ import pytest
 from krabi import _sectors, cli, errors, model, riccati, spectra
 from krabi.cli import run
 from krabi.model import ModelParams, build_blocks
-from krabi.parity import generalized_parity_signs
+from krabi.parity import bosonic_parity_signs, generalized_parity_signs, two_photon_parity_signs
 from krabi.spectra import EvolutionSpec, evolve, ground_state, sector_spectrum
 
 #: The patched physical memory, in bytes.
@@ -60,8 +60,15 @@ class TestRefusal:
          "tabulating the parity at dim = 400000"),
         (["sweep", *model_argv(2, 256), "--levels", "2", "--param", "g", "--lo", "0",
           "--hi", "0.1", "--steps", "2"], "building the dense blocks at dim = 256"),
+        # Past the band's own size: refused before the band is built.
+        (["spectrum", *model_argv(1, 10**6), "--levels", "2"],
+         "solving 2 sector matrices of size 1000000"),
+        (["evolve", *model_argv(1, 10**6), "--t-max", "1", "--steps", "2"],
+         "solving 2 sector matrices of size 1000000"),
+        (["sweep", *model_argv(1, 10**6), "--levels", "2", "--param", "g", "--lo", "0",
+          "--hi", "0.1", "--steps", "2"], "building the dense blocks at dim = 1000000"),
     ], ids=["spectrum", "evolve", "evolve-k4", "verify-spectra", "verify-dump", "verify",
-            "parity-table", "sweep"])
+            "parity-table", "sweep", "spectrum-band", "evolve-band", "sweep-band"])
     def test_one_error_line_before_any_large_allocation(self, capsys, monkeypatch, tmp_path,
                                                         small_memory, argv, what):
         monkeypatch.chdir(tmp_path)
@@ -75,16 +82,17 @@ class TestRefusal:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert peak < MEMORY / 4
 
-    def test_full_matrix_is_refused_after_the_blocks(self, capsys, monkeypatch, tmp_path,
-                                                     small_memory):
-        # At dim 170 the dense blocks (128*dim^2 bytes) fit in the 4 MB and the full 2*dim
-        # solve (144*dim^2 + 128*dim bytes) does not: no report and no residual file is written.
+    def test_full_matrix_is_refused_after_the_blocks(self, capsys, monkeypatch, tmp_path):
+        # At dim 170 the dense blocks (128*dim^2 = 3699200 bytes) fit in 3.71 MB and the full
+        # 2*dim solve (128*dim^2 + 128*dim = 3720960 bytes) does not: no report and no
+        # residual file is written.
+        monkeypatch.setattr(errors, "_physical_memory", lambda: 3_710_000.0)
         monkeypatch.chdir(tmp_path)
         code = run(["verify", *model_argv(1, 170), "--spectra", "--dump", "residual.txt"])
         out, err = capsys.readouterr()
         assert (code, out) == (2, "") and not any(tmp_path.iterdir())
-        assert err == ("error: solving the full 2*dim matrix at dim = 170 needs about 4.2 MB, "
-                       "more than the 4.0 MB of physical memory\n")
+        assert err == ("error: solving the full 2*dim matrix at dim = 170 needs about 3.7 MB, "
+                       "more than the 3.7 MB of physical memory\n")
 
     def test_message_gives_the_estimate(self, small_memory):
         # 8 * (2*512^2 stack + 512^2 copy + 16*512 band words) bytes.
@@ -174,14 +182,23 @@ class TestEstimates:
         assert states.shape == (steps + 1, 2 * dim) and np.isfinite(states).all()
 
     @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("dim", [64, 130, 256])
+    @pytest.mark.parametrize("dim", [64, 130, 256, 300, 400])
     def test_full_spectrum_solve(self, estimates, k, dim):
+        # The full matrix, 64*dim^2 bytes, is the traced peak; LAPACK's copy is not traced.
         params = ModelParams(alpha=0.7, omega=1.0, g=0.3 + 0.1j, k=k, dim=dim)
         blocks = build_blocks(params)
         x = np.diag(generalized_parity_signs(k, dim).astype(np.complex128))
         estimates.clear()
         peak, _ = traced_peak(lambda: riccati._spectra_match(blocks, x))
         assert len(estimates) == 1 and peak <= estimates[0]
+        assert peak <= 64 * dim**2 + 64 * dim + 8192
+
+    @pytest.mark.parametrize("dim", [200, 256, 300])
+    def test_full_matrix_is_one_allocation(self, dim):
+        # The 2*dim matrix is filled in place: no block rows or alpha*I beside it.
+        blocks = build_blocks(ModelParams(alpha=0.7, omega=1.0, g=0.3 + 0.1j, k=1, dim=dim))
+        peak, full = traced_peak(blocks.full_matrix)
+        assert full.shape == (2 * dim, 2 * dim) and peak <= 64 * dim**2 + 8192
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("dim", [64, 130, 256])
@@ -217,4 +234,11 @@ class TestEstimates:
         # The signs are built in place: the int64 result and a few hundred bytes of overhead.
         dim = 200000
         peak, signs = traced_peak(lambda: generalized_parity_signs(k, dim))
+        assert signs.shape == (dim,) and peak <= 8 * dim + 4096
+
+    @pytest.mark.parametrize("build", [bosonic_parity_signs, two_photon_parity_signs],
+                             ids=["bosonic", "two-photon"])
+    def test_special_parity_signs_take_one_vector(self, build):
+        dim = 200000
+        peak, signs = traced_peak(lambda: build(dim))
         assert signs.shape == (dim,) and peak <= 8 * dim + 4096

@@ -5,8 +5,12 @@ is checked entrywise against an independent route: projector
 compression of the gauge-rotated dense decoupled blocks, whose a^dag a and
 a^k leave no cross-sector blocks. The generalized parity, built in the
 closed form (-1)^(p // k), is checked against the paper's per-sector
-construction and against the dedicated k = 1 and k = 2 parities. Every
-parity is a sign vector; the matrix checks take np.diag of it.
+construction and against the dedicated k = 1 and k = 2 parities, and those
+against the papers' formulas (-1)^n and (-1)^(n(n-1)/2) in Python integers.
+One kernel builds all three, (-1)^(p // j); the family's rule, that it
+solves the k-photon Riccati equation exactly when j divides k and k/j is odd,
+is checked on the band and on the dense blocks. Every parity is a sign
+vector; the matrix checks take np.diag of it.
 """
 
 import numpy as np
@@ -19,13 +23,14 @@ from krabi.errors import ShapeError
 from krabi.fock import annihilation, creation, power_k
 from krabi.model import ModelParams, build_blocks
 from krabi.parity import (
+    _floor_signs,
     bosonic_parity_signs,
     decompose,
     generalized_parity_signs,
     partial_parity_signs,
     two_photon_parity_signs,
 )
-from krabi.riccati import block_diagonalize
+from krabi.riccati import DEFAULT_TOLERANCE, block_diagonalize, verify_involution_solution
 
 
 class TestDecompose:
@@ -227,3 +232,42 @@ class TestSpecialParities:
             bosonic_parity_signs(1)
         with pytest.raises(ShapeError):
             two_photon_parity_signs(1)
+
+
+class TestPapersFormulas:
+    """The bosonic and two-photon parities against the papers' formulas, in Python integers."""
+
+    @pytest.mark.parametrize("build,formula", [
+        (bosonic_parity_signs, lambda n: (-1) ** n),
+        (two_photon_parity_signs, lambda n: (-1) ** (n * (n - 1) // 2)),
+    ], ids=["bosonic", "two-photon"])
+    @pytest.mark.parametrize("dims", [range(2, 301), [200000]], ids=["2-300", "200000"])
+    def test_signs_are_the_formula(self, build, formula, dims):
+        expected = [formula(n) for n in range(max(dims))]
+        for dim in dims:
+            signs = build(dim)
+            assert signs.dtype == np.int64 and signs.tolist() == expected[:dim]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_two_photon_parity_where_the_generalized_parity_refuses(self, dim):
+        with pytest.raises(ShapeError):
+            generalized_parity_signs(2, dim)
+        assert two_photon_parity_signs(dim).tolist() == [1, 1, -1][:dim]
+
+
+def solves(j, k):
+    """The family's rule: (-1)^(p // j) is the k-photon parity, s_(p+k) = -s_p for every p,
+    exactly when j divides k and k/j is odd."""
+    return k % j == 0 and (k // j) % 2 == 1
+
+
+class TestFamilyRule:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_band_and_dense_verdicts_follow_the_rule(self, k):
+        params = ModelParams(alpha=0.7, omega=1.0, g=0.3 + 0.1j, k=k, dim=24)
+        blocks = build_blocks(params)
+        for j in range(1, 9):
+            signs = _floor_signs(j, params.dim)
+            band = _sectors.verify_band(params, signs, DEFAULT_TOLERANCE)
+            dense = verify_involution_solution(blocks, np.diag(signs), params=params)
+            assert band.passed is dense.passed is solves(j, k)
