@@ -3,8 +3,9 @@
 The generalized parity is the sign vector s_p = (-1)^(p // k). The coupling
 conj(g)*a^k + g*(a^dag)^k links Fock state p only to p + k, with amplitude
 
-    amp_p = sqrt((p+1)(p+2)...(p+k)),
+    amp_p = sqrt((p+1)(p+2)...(p+k))
 
+(:func:`krabi.model._amplitudes`, which the dense blocks are built from too),
 so it never leaves a sector, and the decoupled blocks
 
     top    = h_plus + alpha*x  = omega*N + W + alpha*diag(s)
@@ -22,8 +23,8 @@ dense (2, k, n, n) stack is filled from them only for the one eigensolve call.
 When k does not divide dim, each short sector ends in a pad, a decoupled
 state whose level lies above the block's spectrum and is dropped. At g = 0,
 e is 0 at every k, even where amp_p overflows, so the model is solved. The
-amplitudes and the sector operators have their one home here; the test
-suite checks (d, e) entrywise against the projector compression
+sector operators have their one home here; the test suite checks (d, e)
+entrywise against the projector compression
 (:meth:`krabi.parity.SectorDecomposition.compress`) of the gauge-rotated
 dense decoupled blocks.
 
@@ -44,30 +45,9 @@ import numpy as np
 
 from .errors import _require_memory
 from .linalg import _eigh, _norm
-from .model import ModelParams
+from .model import ModelParams, _amplitudes
 from .parity import generalized_parity_signs
 from .riccati import VerificationReport, _require_passed
-
-
-def _amplitudes(params: ModelParams) -> np.ndarray:
-    """amp_p = <p| a^k |p+k> = sqrt((p+1)(p+2)...(p+k)) for p < dim - k; zeros at g = 0.
-
-    A product of k square roots of consecutive integers, never the
-    factorials themselves. Entry p links sector level n = p // k of sector
-    l = p % k + 1 to level n + 1. An amplitude past the float64 range is
-    inf, without a warning, and the verdict of :func:`verify_band` refuses
-    the model: at k = 256, dim = 512 every amplitude from p = 139 on is inf.
-    At g = 0 the coupling |g|*amp_p is 0 even there: zeros, with no product.
-    """
-    k, dim = params.k, params.dim
-    if params.g == 0:
-        return np.zeros(dim - k)
-    roots = np.sqrt(np.arange(1, dim, dtype=np.float64))  # roots[i] = sqrt(i + 1)
-    band = roots[: dim - k].copy()
-    with np.errstate(over="ignore"):
-        for j in range(1, k):
-            band *= roots[j : dim - k + j]
-    return band
 
 
 def verify_band(params: ModelParams, signs: np.ndarray, tol: float) -> VerificationReport:

@@ -17,6 +17,12 @@ the full 2*dim Hamiltonian reads [[h_plus, alpha*I], [alpha*I, h_minus]].
 The two conventions are related by a qubit-only unitary, so spectra and
 dynamics are identical. :class:`BlockOperator` holds the block form as
 h_plus, h_minus and the scalar alpha, for :mod:`krabi.riccati`.
+
+The only model-specific numbers in the blocks are the k-step amplitudes
+amp_p = <p| a^k |p+k> = sqrt((p+1)...(p+k)). :func:`_amplitudes` defines them
+once; the dense blocks here and the sector band of :mod:`krabi._sectors` are
+both written from it, with no operator product. The ladder operators of
+:mod:`krabi.fock` are left to the tests, as the coupling's independent oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, _k_dim, _number, _require_memory
-from .fock import annihilation, number, power_k
 from .linalg import _checked_hermitian
 
 
@@ -53,6 +58,30 @@ class ModelParams:
         object.__setattr__(self, "g", _number(self.g, "g", complex))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "dim", dim)
+
+
+def _amplitudes(params: ModelParams) -> np.ndarray:
+    """amp_p = <p| a^k |p+k> = sqrt((p+1)(p+2)...(p+k)) for p < dim - k; zeros at g = 0.
+
+    The one definition of the coupling's amplitudes, for the band of
+    :mod:`krabi._sectors` and the dense blocks alike: a product of k square
+    roots of consecutive integers, multiplied left to right, never the
+    factorials themselves. Entry p links sector level n = p // k of sector
+    l = p % k + 1 to level n + 1. An amplitude past the float64 range is
+    inf, without a warning; the band's verdict refuses such a model, and
+    :func:`build_blocks` raises ShapeError. At k = 256, dim = 512 every
+    amplitude from p = 139 on is inf. At g = 0 the coupling g*amp_p is 0 even
+    there: zeros, with no product.
+    """
+    k, dim = params.k, params.dim
+    if params.g == 0:
+        return np.zeros(dim - k)
+    roots = np.sqrt(np.arange(1, dim, dtype=np.float64))  # roots[i] = sqrt(i + 1)
+    band = roots[: dim - k].copy()
+    with np.errstate(over="ignore"):
+        for j in range(1, k):
+            band *= roots[j : dim - k + j]
+    return band
 
 
 @dataclass(frozen=True)
@@ -93,28 +122,40 @@ class BlockOperator:
 
 
 def coupling_term(params: ModelParams) -> np.ndarray:
-    """k-photon exchange operator conj(g)*a^k + g*(a^dag)^k; the zero matrix at g = 0,
-    where a^k itself may overflow (from k = 239 on at dim = 512)."""
-    if params.g == 0:
-        return np.zeros((params.dim, params.dim), dtype=np.complex128)
-    a_k = power_k(annihilation(params.dim), params.k)
-    return np.conj(params.g) * a_k + params.g * a_k.conj().T
+    """k-photon exchange operator conj(g)*a^k + g*(a^dag)^k: conj(g)*amp_p at (p, p+k) and
+    g*amp_p at (p+k, p) of a zeroed matrix, exact zeros at g = 0. Where amp_p overflows
+    and g is not 0, the entries are not finite, without a warning."""
+    k, dim = params.k, params.dim
+    amplitudes = _amplitudes(params)
+    w = np.zeros((dim, dim), dtype=np.complex128)
+    p = np.arange(dim - k)
+    # inf*0 is nan where g is real or imaginary; + 0.0 turns a -0.0 part into +0.0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w[p, p + k] = np.conj(params.g) * amplitudes + 0.0
+        w[p + k, p] = params.g * amplitudes + 0.0
+    return w
 
 
 def _require_blocks_memory(dim: int) -> None:
     """The size guard of :func:`build_blocks` at truncation ``dim``."""
-    # N, a, a^k with matrix_power's temporaries, the coupling, h_plus and h_minus:
-    # at most 8 dim x dim complex matrices at once.
+    # The blocks peak at four dim x dim complex matrices: W (h_plus), h_minus and the
+    # Hermiticity check's temporaries. Eight also hold verify --dump's residual, its
+    # temporaries and x, which have no estimate of their own.
     _require_memory(8 * 16 * dim**2, f"building the dense blocks at dim = {dim}")
 
 
 def build_blocks(params: ModelParams) -> BlockOperator:
-    """Blocks h_plus, h_minus and the off-diagonal blocks' value alpha."""
+    """Blocks h_plus = omega*N + W, h_minus = omega*N - W and the off-diagonal blocks' value
+    alpha, with W the :func:`coupling_term`; one ShapeError, no warning, where an entry
+    overflows."""
     _require_blocks_memory(params.dim)
-    n_op = number(params.dim)
-    w = coupling_term(params)
-    return BlockOperator(h_plus=params.omega * n_op + w, h_minus=params.omega * n_op - w,
-                         alpha=params.alpha)
+    h_plus = coupling_term(params)
+    h_minus = 0.0 - h_plus  # not -h_plus: 0.0 - (+0.0) keeps the off-band zeros +0.0
+    with np.errstate(over="ignore"):
+        diagonal = params.omega * np.arange(params.dim, dtype=np.float64)
+    np.fill_diagonal(h_plus, diagonal)
+    np.fill_diagonal(h_minus, diagonal)
+    return BlockOperator(h_plus=h_plus, h_minus=h_minus, alpha=params.alpha)
 
 
 def build_full(params: ModelParams) -> np.ndarray:

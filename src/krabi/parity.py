@@ -17,10 +17,10 @@ vector. Where a matrix is needed, as by the dense Riccati checks of
 family at k = 1 and k = 2, since n(n-1)/2 = n // 2 (mod 2): one kernel,
 (-1)^(p // j), builds all three with j = k, 1 or 2.
 
-The operators restricted to one sector, and the band amplitudes of a^k,
-have one home: :mod:`krabi._sectors`, whose sector tridiagonals are checked
-entrywise against :meth:`SectorDecomposition.compress` of the dense blocks
-in the test suite. The decomposition is the tests' oracle, there and for
+The operators restricted to one sector have one home, :mod:`krabi._sectors`,
+which builds them from the amplitudes of :mod:`krabi.model`. Its sector
+tridiagonals are checked entrywise against :meth:`SectorDecomposition.compress`
+of the dense blocks in the test suite. The decomposition is the tests' oracle, there and for
 the closed form: its ``members`` filled with :func:`partial_parity_signs`.
 """
 

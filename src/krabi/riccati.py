@@ -195,21 +195,34 @@ def similarity_transform(x) -> tuple[np.ndarray, np.ndarray]:
     Valid only for Hermitian involutions, where
     s_inv = (1/2) [[I, x], [-x, I]] and s @ s_inv = I holds to roundoff.
     Raises SolutionError otherwise; inverting the transform for a general
-    x is out of scope.
+    x is out of scope. Both 2*dim matrices are filled in place, and a pair
+    past the physical memory is refused with MemoryError before either exists.
     """
     try:
         x, adjoint = _checked_hermitian(x, "x")
     except HermiticityError:
         raise SolutionError("x is not Hermitian; closed-form inverse unavailable") from None
     dim = x.shape[0]
+    # Ten dim x dim complex matrices at once: x, its adjoint and the two 2*dim results,
+    # filled in place, with numpy's buffers for the strided writes (2**18 bytes at most).
+    # The involution check's temporaries are freed before the results are allocated.
+    _require_memory(16 * 10 * dim**2 + 2**19,
+                    f"building the similarity transform at dim = {dim}")
     # A Hermitian involution is unitary, so an overflowing x @ x is no involution.
     with np.errstate(over="ignore", invalid="ignore"):
         defect = _norm(x @ x - np.eye(dim))
     if not _is_involution(defect, _norm(x), HERMITICITY_RTOL):
         raise SolutionError("x is not an involution; closed-form inverse unavailable")
-    eye = np.eye(dim, dtype=np.complex128)
-    s = np.block([[eye, -adjoint], [x, eye]])
-    s_inv = 0.5 * np.block([[eye, x], [-x, eye]])
+    s = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
+    s_inv = np.zeros_like(s)
+    np.fill_diagonal(s, 1.0)
+    np.negative(adjoint, out=s[:dim, dim:])
+    s[dim:, :dim] = x
+    np.fill_diagonal(s_inv, 0.5)
+    np.multiply(x, 0.5, out=s_inv[:dim, dim:])
+    lower = s_inv[dim:, :dim]
+    np.negative(x, out=lower)
+    lower *= 0.5  # 0.5 * (-x): x * -0.5 would give some zero parts the other sign
     return s, s_inv
 
 

@@ -1,11 +1,12 @@
 """The size guard: a request larger than physical memory is refused before it is allocated.
 
 Each guarded step (the sector eigensolve, the dense blocks, the full 2*dim
-solve of ``verify --spectra``, the states of ``evolve``, and the O(dim) work of
-plain ``verify`` and of ``parity-table``) compares its estimated allocation
-with the machine's physical memory. Here that reading is patched down to a few
-MB, so every refusal is checked without allocating anything large, and each
-estimate is checked against what tracemalloc sees the step allocate.
+solve of ``verify --spectra``, the similarity transform, the states of
+``evolve``, and the O(dim) work of plain ``verify`` and of ``parity-table``)
+compares its estimated allocation with the machine's physical memory. Here
+that reading is patched down to a few MB, so every refusal is checked without
+allocating anything large, and each estimate is checked against what
+tracemalloc sees the step allocate.
 """
 
 import tracemalloc
@@ -119,6 +120,19 @@ class TestRefusal:
         with pytest.raises(MemoryError, match="^building the dense blocks at dim = 512 "):
             build_blocks(params)
 
+    def test_similarity_transform_is_refused_before_its_matrices(self, small_memory):
+        # 16*10*dim^2 + 2**19 bytes at dim 160: 4.6 MB. Only the Hermiticity check's
+        # adjoint and difference are allocated before the refusal.
+        x = np.diag(generalized_parity_signs(2, 160).astype(np.complex128))
+
+        def transform():
+            with pytest.raises(MemoryError, match=r"^building the similarity transform at "
+                               r"dim = 160 needs about 4\.6 MB, more than the 4\.0 MB of "):
+                riccati.similarity_transform(x)
+
+        peak, _ = traced_peak(transform)
+        assert peak < MEMORY / 4
+
     def test_evolve_refuses_its_states_before_solving(self, monkeypatch):
         # 10**12 + 1 states of 16 components: 2.6e14 bytes, past any machine's memory.
         params = ModelParams(alpha=0.7, omega=1.0, g=0.3, k=1, dim=8)
@@ -192,6 +206,15 @@ class TestEstimates:
         peak, _ = traced_peak(lambda: riccati._spectra_match(blocks, x))
         assert len(estimates) == 1 and peak <= estimates[0]
         assert peak <= 64 * dim**2 + 64 * dim + 8192
+
+    @pytest.mark.parametrize("dim", [128, 256, 300])
+    @pytest.mark.parametrize("dtype", [np.int64, np.complex128])
+    def test_similarity_transform(self, estimates, dim, dtype):
+        # An int parity is copied as complex inside the trace; both results are filled in place.
+        x = np.diag(generalized_parity_signs(2, dim)).astype(dtype)
+        peak, (s, s_inv) = traced_peak(lambda: riccati.similarity_transform(x))
+        assert len(estimates) == 1 and peak <= estimates[0]
+        assert s.shape == s_inv.shape == (2 * dim, 2 * dim)
 
     @pytest.mark.parametrize("dim", [200, 256, 300])
     def test_full_matrix_is_one_allocation(self, dim):

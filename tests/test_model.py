@@ -2,14 +2,15 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from krabi.errors import HermiticityError, ShapeError
-from krabi.fock import number
+from krabi.fock import annihilation, number, power_k
 from krabi.linalg import eig_hermitian
-from krabi.model import BlockOperator, ModelParams, build_blocks, build_full
+from krabi.model import BlockOperator, ModelParams, build_blocks, build_full, coupling_term
 
 HAND = ModelParams(alpha=0.5, omega=1.0, g=1.0, k=1, dim=2)
 
@@ -134,3 +135,57 @@ class TestFullMatrix:
         w0 = eig_hermitian(build_full(base))[0]
         w1 = eig_hermitian(build_full(rotated))[0]
         assert np.max(np.abs(w0 - w1)) <= 1e-9
+
+
+def ladder_coupling(params):
+    """Oracle: conj(g)*a^k + g*(a^dag)^k from the ladder operators, a^k by matrix_power.
+    The + 0.0 gives each zero part the sign +0.0, as the assembled coupling has it."""
+    a_k = power_k(annihilation(params.dim), params.k)
+    return np.conj(params.g) * a_k + params.g * a_k.conj().T + 0.0
+
+
+class TestCouplingOracle:
+    """coupling_term is written from the amplitudes amp_p, with no operator product; the
+    ladder operators of krabi.fock are its independent oracle."""
+
+    GS = [-0.37, 0.41j, -0.3 + 0.2j]
+
+    @pytest.mark.parametrize("g", GS, ids=["real", "imaginary", "complex"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("extra", [0, 1, 5])
+    def test_bitwise_equal_up_to_three_photons(self, k, g, extra):
+        # matrix_power multiplies sqrt(p+1)*sqrt(p+2)*sqrt(p+3) left to right, as amp_p is.
+        params = ModelParams(alpha=0.5, omega=1.0, g=g, k=k, dim=4 * k + extra)
+        got, want = coupling_term(params), ladder_coupling(params)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("g", GS, ids=["real", "imaginary", "complex"])
+    @pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+    def test_within_four_ulp_from_four_photons(self, k, g):
+        # From k = 4 on, matrix_power pairs the factors differently: the last bits differ.
+        params = ModelParams(alpha=0.5, omega=1.0, g=g, k=k, dim=6 * k + 1)
+        got = coupling_term(params).view(np.float64)
+        want = ladder_coupling(params).view(np.float64)
+        assert np.array_equal(got == 0, want == 0)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+    def test_zero_coupling_is_exact_zeros_where_the_amplitudes_overflow(self):
+        w = coupling_term(ModelParams(alpha=1.0, omega=1.0, g=0.0, k=256, dim=512))
+        assert w.shape == (512, 512) and not np.any(w.view(np.uint64))
+
+    @pytest.mark.parametrize("g", [0.1, 0.1 + 0.05j, 0.1j], ids=["real", "complex", "imaginary"])
+    def test_overflowing_blocks_raise_one_error_and_no_warning(self, g):
+        # amp_p is inf from p = 139 on at k = 256, dim = 512; inf*0 would warn in a product.
+        params = ModelParams(alpha=1.0, omega=1.0, g=g, k=256, dim=512)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="^h_plus contains non-finite entries$"):
+                build_blocks(params)
+
+    def test_zero_coupling_builds_where_the_amplitudes_overflow(self):
+        params = ModelParams(alpha=1.0, omega=1.5, g=0.0, k=256, dim=512)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = build_blocks(params)
+        diagonal = np.diag(1.5 * np.arange(512)).astype(complex)
+        assert np.array_equal(blocks.h_plus, diagonal) and np.array_equal(blocks.h_minus, diagonal)

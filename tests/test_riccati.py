@@ -1,5 +1,6 @@
 """Riccati residuals, verification, the similarity transform and decoupling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from krabi.errors import ShapeError, SolutionError
 from krabi.fock import annihilation, power_k
 from krabi.linalg import eig_hermitian
 from krabi.model import ModelParams, build_blocks, build_full
-from krabi.parity import bosonic_parity_signs, generalized_parity_signs, two_photon_parity_signs
+from krabi.parity import (bosonic_parity_signs, decompose, generalized_parity_signs,
+                          partial_parity_signs, two_photon_parity_signs)
 from krabi.riccati import (
     _spectra_match,
     block_diagonalize,
@@ -167,6 +169,20 @@ class TestSimilarityTransform:
         s, s_inv = similarity_transform(np.diag(generalized_parity_signs(k, dim)))
         assert np.linalg.norm(s @ s_inv - np.eye(2 * dim)) <= 1e-13
 
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_filled_in_place_as_the_block_form(self, dim):
+        # A Hermitian involution with signed zeros and nonzero entries of every sign.
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        w, v = np.linalg.eigh(a + a.conj().T)
+        for x in (v @ np.diag(np.sign(w)) @ v.conj().T, np.diag(generalized_parity_signs(1, dim))):
+            eye = np.eye(dim, dtype=complex)
+            x = x.astype(complex)
+            want = (np.block([[eye, -x.conj().T], [x, eye]]),
+                    0.5 * np.block([[eye, x], [-x, eye]]))
+            for got, expected in zip(similarity_transform(x), want):
+                assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
     def test_non_involution_rejected(self):
         with pytest.raises(SolutionError):
             similarity_transform(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
@@ -230,3 +246,58 @@ class TestBlockDiagonalize:
         params = ModelParams(alpha=1.0, omega=1.0, g=0.5, k=2, dim=12)
         with pytest.raises(SolutionError):
             block_diagonalize(build_blocks(params), np.diag(bosonic_parity_signs(12)))
+
+
+def graph_solutions(params):
+    """X = L U^-1 for every choice of dim eigenvectors of the full H whose upper halves U
+    are well conditioned; L are their lower halves.
+
+    The span of such a choice is the graph {(u, X u)} of X, and H leaves it invariant
+    exactly when X solves the Riccati equation: the graph-subspace correspondence of
+    Kostrykin, Makarov & Motovilov, Contemp. Math. 327, 181 (2003).
+    """
+    dim = params.dim
+    full = build_full(params)
+    v = np.linalg.eigh(full)[1]
+    subsets = np.array(list(itertools.combinations(range(2 * dim), dim)))
+    chosen = v[:, subsets].transpose(1, 0, 2)  # (subset, component, vector)
+    upper, lower = chosen[:, :dim], chosen[:, dim:]
+    singular = np.linalg.svd(upper, compute_uv=False)
+    well = singular[:, -1] > 1e-6 * singular[:, 0]
+    return lower[well] @ np.linalg.inv(upper[well])
+
+
+class TestParityFromH:
+    """The parity is derived from H alone: among all Riccati solutions that invariant graph
+    subspaces give, the Hermitian involutions are exactly the 2^k per-sector sign vectors."""
+
+    @pytest.mark.parametrize("alpha,g", [(0.7, 0.35 * np.exp(0.9j)), (-0.45, 0.3 - 0.2j)],
+                             ids=["alpha>0", "alpha<0"])
+    @pytest.mark.parametrize("k,dim", [(1, 4), (1, 5), (1, 6), (1, 8), (2, 4), (2, 5), (2, 6),
+                                       (3, 6)])
+    def test_hermitian_involutions_are_the_sector_signs(self, k, dim, alpha, g):
+        params = ModelParams(alpha=alpha, omega=1.0, g=g, k=k, dim=dim)
+        # Away from level crossings, each eigenvector, and so each subspace, is unique.
+        assert np.min(np.diff(eig_hermitian(build_full(params), vectors=False)[0])) > 1e-2
+        x = graph_solutions(params)
+        defect = np.maximum(np.linalg.norm(x - x.conj().transpose(0, 2, 1), axis=(1, 2)),
+                            np.linalg.norm(x @ x - np.eye(dim), axis=(1, 2)))
+        # The involutions sit at roundoff; every other solution is a distance of order one away.
+        assert np.all((defect <= 1e-12) | (defect >= 1e-1))
+        involutions = x[defect <= 1e-12]
+        sd = decompose(k, dim)
+        expected = set()
+        for epsilon in itertools.product((1, -1), repeat=k):
+            signs = np.zeros(dim, dtype=np.int64)
+            for l, (eps, members) in enumerate(zip(epsilon, sd.members), start=1):
+                signs[members] = eps * partial_parity_signs(sd, l)
+            expected.add(tuple(signs))
+        blocks = build_blocks(params)
+        found = set()
+        for candidate in involutions:
+            signs = np.rint(np.diag(candidate).real).astype(np.int64)
+            assert np.max(np.abs(candidate - np.diag(signs))) <= 1e-12
+            assert verify_involution_solution(blocks, candidate, tol=1e-12).passed
+            found.add(tuple(signs))
+        assert len(involutions) == len(found) == len(expected) == 2**k
+        assert found == expected

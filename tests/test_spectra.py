@@ -80,9 +80,10 @@ def whole_grid_states(params, state, dt, steps):
     signs = generalized_parity_signs(k, dim).astype(float)
     phase = _sectors.gauge(params.g, k, dim)
     diagonal = params.omega * np.arange(dim, dtype=np.float64)
-    # amp_p = sqrt(p+1)*...*sqrt(p+k), multiplied left to right as the core does, so that
-    # the states are bitwise comparable: np.diagonal(power_k(a, k), k) pairs the factors
-    # as (sqrt(p+1)*sqrt(p+2))*(sqrt(p+3)*sqrt(p+4)) at k = 4, one ulp away.
+    # amp_p = sqrt(p+1)*...*sqrt(p+k), multiplied left to right as model._amplitudes does
+    # for the band and the dense blocks alike, so that the states are bitwise comparable.
+    # np.diagonal(power_k(a, k), k) is no such reference: from k = 4 on it pairs the
+    # factors as (sqrt(p+1)*sqrt(p+2))*(sqrt(p+3)*sqrt(p+4)), an ulp or so away.
     amplitudes = np.prod([np.sqrt(np.arange(j + 1, dim - k + j + 1, dtype=np.float64))
                           for j in range(k)], axis=0)
     upper, lower = state[:dim], state[dim:]
@@ -283,6 +284,36 @@ class TestSweep:
             SweepSpec(base=self.BASE, param="omega", lo=0.0, hi=1.0, steps=2, levels=1)
         with pytest.raises(ValueError):
             SweepSpec(base=self.BASE, param="phase", lo=0.0, hi=1.0, steps=2, levels=1)
+
+
+class TestNoMatrixPower:
+    """The dense blocks are written from the amplitudes: no command takes a matrix power."""
+
+    @pytest.fixture
+    def no_matrix_power(self, monkeypatch):
+        def power(*_args, **_kwargs):
+            raise AssertionError("matrix power taken")
+
+        monkeypatch.setattr(np.linalg, "matrix_power", power)
+        forbid(monkeypatch, ("power_k",), "the dense blocks")
+        monkeypatch.setattr(krabi.fock, "power_k", power)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_build_blocks(self, no_matrix_power, k):
+        blocks = build_blocks(seeded_params(k + 40, k, 6 * k + 1))
+        assert blocks.dim == 6 * k + 1
+
+    @pytest.mark.parametrize("extra", [
+        ["sweep", "--param", "g", "--lo", "0", "--hi", "0.3", "--steps", "3", "--levels", "2"],
+        ["verify", "--spectra"],
+        ["verify", "--dump", "residual.txt", "--out", "report.json"],
+    ], ids=["sweep", "verify-spectra", "verify-dump"])
+    def test_commands(self, no_matrix_power, capsys, monkeypatch, tmp_path, extra):
+        monkeypatch.chdir(tmp_path)
+        argv = [extra[0], "--k", "4", "--dim", "21", "--alpha", "-0.6", "--omega", "1",
+                "--g", "0.2+0.1i", *extra[1:]]
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestEvolve:
