@@ -139,13 +139,14 @@ def _cmd_verify(args) -> int:
     report = verify_band(params, signs, args.tol)
     compare = args.spectra and report.passed
     if compare or args.dump is not None:
-        blocks, x = build_blocks(params), np.diag(signs.astype(np.complex128))
+        blocks = build_blocks(params)
         if compare:
-            report.spectra_match = _spectra_match(blocks, x)
+            report.spectra_match = _spectra_match(blocks, signs)
         if args.dump is not None:
-            # The residual's temporaries and its rows of text stay within build_blocks'
-            # estimate, so no step of its own is estimated.
-            dump_matrix(residual(blocks, x), args.dump)
+            # The dense audit of the public residual. The parity matrix, the residual's
+            # temporaries and its rows of text stay within build_blocks' estimate, so no
+            # step of its own is estimated.
+            dump_matrix(residual(blocks, np.diag(signs.astype(np.complex128))), args.dump)
     _emit([report.to_json() + "\n"], args.out)
     return 0 if report.passed else 1
 
@@ -180,13 +181,9 @@ def _cmd_parity_table(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    w_top, w_bottom = sector_spectrum(_params_from(args), args.levels)
-    lines = ["# method = sector-tridiagonal", "block,level,eigenvalue"]
-    for i, w in enumerate(w_top):
-        lines.append(f"+,{i},{w:.16e}")
-    for i, w in enumerate(w_bottom):
-        lines.append(f"-,{i},{w:.16e}")
-    _emit(["\n".join(lines) + "\n"], args.out)
+    levels = sector_spectrum(_params_from(args), args.levels)
+    rows = [f"{b},{i},{w:.16e}\n" for b, block in zip("+-", levels) for i, w in enumerate(block)]
+    _emit(["# method = sector-tridiagonal\nblock,level,eigenvalue\n", *rows], args.out)
     return 0
 
 
@@ -203,6 +200,8 @@ def _cmd_evolve(args) -> int:
     params = _params_from(args)
     t_max = _number(args.t_max, "t-max", float, "> 0")
     steps = _steps(args.steps, 1)
+    if t_max / steps == 0.0:
+        raise ValueError(f"the time step --t-max / --steps = {t_max!r} / {steps} rounds to 0")
     state = None if args.state == "ground" else load_vector(args.state)
     _emit(_evolve_csv(params, t_max / steps, steps, state), args.out)
     return 0

@@ -139,8 +139,9 @@ def coupling_term(params: ModelParams) -> np.ndarray:
 def _require_blocks_memory(dim: int) -> None:
     """The size guard of :func:`build_blocks` at truncation ``dim``."""
     # The blocks peak at four dim x dim complex matrices: W (h_plus), h_minus and the
-    # Hermiticity check's temporaries. Eight also hold verify --dump's residual, its
-    # temporaries and x, which have no estimate of their own.
+    # Hermiticity check's temporaries; a sweep point at four too, the blocks and their one
+    # stacked, shifted copy. Eight also hold verify --dump's residual, its temporaries and
+    # x, which have no estimate of their own.
     _require_memory(8 * 16 * dim**2, f"building the dense blocks at dim = {dim}")
 
 

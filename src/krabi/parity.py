@@ -11,8 +11,9 @@ commutes with a^dag a, hence swaps h_plus and h_minus.
 The generalized parity assembled from those per-sector signs is the
 diagonal s_p = (-1)^(p // k), Hermitian and squaring to the identity, so it
 is held as its integer sign vector s, and every parity here is such a
-vector. Where a matrix is needed, as by the dense Riccati checks of
-:mod:`krabi.riccati`, it is ``np.diag(s)``. The bosonic parity's signs
+vector. Where a matrix is needed, as by the public dense Riccati checks of
+:mod:`krabi.riccati`, it is ``np.diag(s)``; krabi's own dense solves shift the
+blocks' diagonals by +-alpha*s instead. The bosonic parity's signs
 (-1)^n and the two-photon parity's signs (-1)^(n(n-1)/2) are the same
 family at k = 1 and k = 2, since n(n-1)/2 = n // 2 (mod 2): one kernel,
 (-1)^(p // j), builds all three with j = k, 1 or 2.

@@ -19,9 +19,15 @@ generic block inversion.
 Verification is numerical and falsifiable: :func:`residual` evaluates the
 equation, :func:`verify_involution_solution` scores a candidate and
 :func:`block_diagonalize` demands a verified candidate before producing
-the decoupled blocks h_plus + alpha*x and h_minus - alpha*x^dag. Both this dense
-route and the band route of :mod:`krabi._sectors` only compute norms, and
-:meth:`VerificationReport.from_norms` gives the verdict.
+the decoupled blocks h_plus + alpha*x and h_minus - alpha*x^dag, for any x.
+Both this dense route and the band route of :mod:`krabi._sectors` only compute
+norms, and :meth:`VerificationReport.from_norms` gives the verdict.
+
+krabi's own dense solves (``krabi sweep`` and ``krabi verify --spectra``) keep the
+parity as its sign vector s: for x = diag(s) the decoupled blocks differ from
+h_plus and h_minus only on the diagonal, by +alpha*s and -alpha*s, so
+:func:`_decoupled_levels` shifts the diagonals of one stacked copy of the blocks
+and builds no parity matrix.
 """
 
 from __future__ import annotations
@@ -173,18 +179,32 @@ def verify_involution_solution(
         block_scale=block_scale, tol=tol, params=params)
 
 
-def _spectra_match(blocks: BlockOperator, x: np.ndarray) -> float:
+def _decoupled_levels(blocks: BlockOperator, signs: np.ndarray) -> np.ndarray:
+    """Levels of the decoupled blocks h_plus + alpha*diag(s) and h_minus - alpha*diag(s),
+    shape (2, dim), ascending per block.
+
+    For blocks krabi assembled exactly Hermitian and a verified sign vector ``signs``:
+    one stacked copy of h_plus and h_minus, its two diagonals shifted in place by
+    +alpha*s and -alpha*s, solved in one unchecked call.
+    """
+    stack = np.stack((blocks.h_plus, blocks.h_minus))
+    # A view of both diagonals. Adding (-alpha)*s rounds as subtracting alpha*s does.
+    stack.reshape(2, -1)[:, :: blocks.dim + 1] += np.outer((blocks.alpha, -blocks.alpha), signs)
+    return _eigh(stack, vectors=False)[0]
+
+
+def _spectra_match(blocks: BlockOperator, signs: np.ndarray) -> float:
     """Largest deviation of the merged decoupled block spectra from the full spectrum.
 
-    For blocks and a sign-vector parity that krabi assembled exactly Hermitian: both
-    decoupled blocks are solved in one call and the full matrix in another, unchecked.
+    For blocks that krabi assembled exactly Hermitian and their verified sign vector:
+    both decoupled blocks are solved in one call and the full matrix in another, unchecked.
     """
     # At most eight dim x dim complex matrices at once, with a few vectors of levels: the
-    # full matrix, filled in place, and LAPACK's copy of it. The decoupled blocks, their
-    # temporaries and their stack, four at most, are freed before it.
+    # full matrix, filled in place, and LAPACK's copy of it. The one stacked copy of the
+    # decoupled blocks is freed before it.
     _require_memory(16 * (8 * blocks.dim**2 + 8 * blocks.dim),
                     f"solving the full 2*dim matrix at dim = {blocks.dim}")
-    merged = np.sort(_eigh(np.stack(_decoupled_blocks(blocks, x)), vectors=False)[0], axis=None)
+    merged = np.sort(_decoupled_levels(blocks, signs), axis=None)
     full = _eigh(blocks.full_matrix(), vectors=False)[0]
     return float(np.max(np.abs(merged - full)))
 
@@ -226,10 +246,6 @@ def similarity_transform(x) -> tuple[np.ndarray, np.ndarray]:
     return s, s_inv
 
 
-def _decoupled_blocks(blocks: BlockOperator, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return blocks.h_plus + blocks.alpha * x, blocks.h_minus - blocks.alpha * x.conj().T
-
-
 def block_diagonalize(
     blocks: BlockOperator,
     x,
@@ -243,7 +259,7 @@ def block_diagonalize(
     """
     x = _checked_candidate(blocks, x)
     _require_passed(verify_involution_solution(blocks, x, tol=tol))
-    return _decoupled_blocks(blocks, x)
+    return blocks.h_plus + blocks.alpha * x, blocks.h_minus - blocks.alpha * x.conj().T
 
 
 def _require_passed(report: VerificationReport) -> None:

@@ -12,10 +12,12 @@ sector_spectrum and evolution hold both blocks' 2k real tridiagonal sectors
 as their band (d, e), filled into a dense stack only for the one eigensolve
 call; g = 0 is solved at every k, on the band and the dense blocks. Only
 sweep still solves the dense blocks, one grid point after another in grid
-order, for their eigenvalues alone: the faster sector route grows the
-benchmark's speed-sized input pool past sweep-small's memory bound, so it
-waits for a batched sweep. Every solve here is one LAPACK call per model, on
-matrices krabi assembled exactly Hermitian, with no check:
+order, for their eigenvalues alone: it shifts the diagonals of one stacked
+copy of h_plus and h_minus by +-alpha*s and builds no parity matrix. The
+faster sector route grows the benchmark's speed-sized input pool past
+sweep-small's memory bound, so it waits for a batched sweep. Every solve here
+is one LAPACK call per model, on matrices krabi assembled exactly Hermitian,
+with no check:
 :func:`krabi.linalg.eig_hermitian`, with its Hermiticity check and
 symmetrization, is the entry for matrices users pass.
 
@@ -49,9 +51,9 @@ from ._format import WORDS, format_fields
 from ._sectors import (SectorSystem, _verified_signs, fock_mask, sector_axes, sector_eigensystem,
                        sector_levels, to_sectors)
 from .errors import ShapeError, _levels, _number, _require_memory, _steps
-from .linalg import _array, _eigh
+from .linalg import _array
 from .model import ModelParams, _require_blocks_memory, build_blocks
-from .riccati import _decoupled_blocks
+from .riccati import _decoupled_levels
 
 _SWEEPABLE = ("g", "alpha", "omega")
 
@@ -120,12 +122,6 @@ class EvolutionSpec:
         object.__setattr__(self, "steps", _steps(self.steps, 1))
 
 
-def _verified_blocks(params: ModelParams):
-    """The dense decoupled blocks, with the parity verified on the band."""
-    signs = _verified_signs(params)
-    return _decoupled_blocks(build_blocks(params), np.diag(signs.astype(np.complex128)))
-
-
 def sector_spectrum(params: ModelParams, levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest ``levels`` eigenvalues of each decoupled block, ascending.
 
@@ -146,15 +142,19 @@ def sweep(spec: SweepSpec) -> list:
 
     Grid order, then block "+" before "-", then level index. The parity is
     verified on the band at each point, as in :func:`sector_spectrum`; the
-    two dense blocks, assembled exactly Hermitian, are then solved in one
-    call, for eigenvalues only.
+    two dense blocks, assembled exactly Hermitian and shifted by +-alpha*s on
+    one stacked copy, are then solved in one call, for eigenvalues only.
     """
     _require_blocks_memory(spec.base.dim)  # before the first point's band
     rows = []
     for value in np.linspace(spec.lo, spec.hi, spec.steps):
         value = float(value)
-        # Dense on purpose: a faster sweep grows the benchmark's input pool past its RSS bound.
-        levels = _eigh(np.stack(_verified_blocks(spec.params_at(value))), vectors=False)[0]
+        params = spec.params_at(value)
+        signs = _verified_signs(params)  # the band's verdict, before any dense matrix
+        # Dense on purpose: on sweep-small (2 cores, numpy 2.4.6) the sector route took
+        # op_s_p50 from about 0.0104 s to 0.0058 s, but grew the speed-sized input pool
+        # enough to lift the median peak_rss_mb by 7.4%, past its 5% bound.
+        levels = _decoupled_levels(build_blocks(params), signs)
         for block, lowest in zip("+-", levels[:, : spec.levels].tolist()):
             rows += [(value, block, i, w) for i, w in enumerate(lowest)]
     return rows

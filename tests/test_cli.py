@@ -17,7 +17,8 @@ from krabi._sectors import verify_band
 from krabi.cli import parse_complex, run
 from krabi.linalg import dump_matrix, dump_vector, eig_hermitian, load_matrix
 from krabi.model import ModelParams, build_blocks, build_full
-from krabi.parity import decompose, generalized_parity_signs
+from krabi.parity import (bosonic_parity_signs, decompose, generalized_parity_signs,
+                          two_photon_parity_signs)
 from krabi.riccati import VerificationReport, block_diagonalize
 from krabi import spectra
 from krabi.spectra import (EvolutionSpec, SweepSpec, evolve, ground_state, sector_spectrum,
@@ -501,8 +502,9 @@ class TestValuesOnly:
         params = ModelParams(alpha=alpha, omega=1.1, g=g, k=k, dim=dim)
         spec = SweepSpec(base=params, param="g", lo=0.0, hi=0.3, steps=3, levels=dim)
         rows = [line.split(",") for line in out.splitlines()[1:]]
+        x = np.diag(generalized_parity_signs(k, dim).astype(complex))
         for value in np.linspace(0.0, 0.3, 3):
-            blocks = spectra._verified_blocks(spec.params_at(float(value)))
+            blocks = block_diagonalize(build_blocks(spec.params_at(float(value))), x, tol=0.0)
             for sign, block in zip("+-", blocks):
                 got = [float(w) for v, b, _, w in rows if float(v) == value and b == sign]
                 want = eig_hermitian(block)[0]
@@ -533,7 +535,8 @@ class TestValuesOnly:
         monkeypatch.undo()
         assert code == 0
         params = ModelParams(alpha=alpha, omega=1.1, g=g, k=k, dim=dim)
-        top, bottom = spectra._verified_blocks(params)
+        x = np.diag(generalized_parity_signs(k, dim).astype(complex))
+        top, bottom = block_diagonalize(build_blocks(params), x, tol=0.0)
         merged = np.sort(np.concatenate([eig_hermitian(top)[0], eig_hermitian(bottom)[0]]))
         full = eig_hermitian(build_full(params))[0]
         want = float(np.max(np.abs(merged - full)))
@@ -588,17 +591,26 @@ class TestUncheckedSolves:
 
     @pytest.mark.parametrize("k,dim,alpha,g", UNCHECKED_MODELS)
     def test_verify_spectra(self, capsys, monkeypatch, k, dim, alpha, g):
+        # The generalized parity, and the other candidates that pass at this k: the bosonic
+        # parity at odd k = 1 and 3, the two-photon parity at k = 2.
         params = ModelParams(alpha=alpha, omega=1.1, g=g, k=k, dim=dim)
-        signs = generalized_parity_signs(k, dim)
-        top, bottom = block_diagonalize(build_blocks(params), np.diag(signs.astype(complex)))
-        merged = np.sort(np.concatenate([eig_hermitian(top, vectors=False)[0],
-                                         eig_hermitian(bottom, vectors=False)[0]]))
         full = eig_hermitian(build_full(params), vectors=False)[0]
-        report = verify_band(params, signs, riccati.DEFAULT_TOLERANCE)
-        report.spectra_match = float(np.max(np.abs(merged - full)))
-        forbid_checked_solver(monkeypatch)
-        argv = ["verify", *model_argv(k, dim, alpha, g), "--spectra"]
-        assert invoke(capsys, argv) == (0, report.to_json() + "\n", "")
+        candidates = {"xk": generalized_parity_signs(k, dim)}
+        if k in (1, 3):
+            candidates["p"] = bosonic_parity_signs(dim)
+        if k == 2:
+            candidates["t"] = two_photon_parity_signs(dim)
+        for candidate, signs in candidates.items():
+            top, bottom = block_diagonalize(build_blocks(params), np.diag(signs.astype(complex)))
+            merged = np.sort(np.concatenate([eig_hermitian(top, vectors=False)[0],
+                                             eig_hermitian(bottom, vectors=False)[0]]))
+            report = verify_band(params, signs, riccati.DEFAULT_TOLERANCE)
+            report.spectra_match = float(np.max(np.abs(merged - full)))
+            with monkeypatch.context() as patched:
+                forbid_checked_solver(patched)
+                argv = ["verify", *model_argv(k, dim, alpha, g), "--spectra",
+                        "--candidate", candidate]
+                assert invoke(capsys, argv) == (0, report.to_json() + "\n", "")
 
 
 class TestOverflow:
@@ -755,6 +767,9 @@ class TestErrorMessages:
         # omega's rule has one home, ModelParams: a sweep from omega = 0 gets its text.
         (["sweep", *MODEL, "--levels", "2", "--param", "omega", "--lo", "0", "--hi", "1",
           "--steps", "3"], "omega must be finite and > 0, got 0.0"),
+        # A time step that rounds to 0 names the flags it comes from, not the library's dt.
+        (["evolve", *MODEL, "--t-max", "5e-324", "--steps", "2"],
+         "the time step --t-max / --steps = 5e-324 / 2 rounds to 0"),
     ])
     def test_range_errors_keep_their_text(self, capsys, argv, line):
         assert invoke(capsys, argv) == (2, "", f"error: {line}\n")

@@ -200,12 +200,25 @@ class TestEstimates:
     def test_full_spectrum_solve(self, estimates, k, dim):
         # The full matrix, 64*dim^2 bytes, is the traced peak; LAPACK's copy is not traced.
         params = ModelParams(alpha=0.7, omega=1.0, g=0.3 + 0.1j, k=k, dim=dim)
-        blocks = build_blocks(params)
-        x = np.diag(generalized_parity_signs(k, dim).astype(np.complex128))
+        blocks, signs = build_blocks(params), generalized_parity_signs(k, dim)
         estimates.clear()
-        peak, _ = traced_peak(lambda: riccati._spectra_match(blocks, x))
+        peak, _ = traced_peak(lambda: riccati._spectra_match(blocks, signs))
         assert len(estimates) == 1 and peak <= estimates[0]
         assert peak <= 64 * dim**2 + 64 * dim + 8192
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("dim", [128, 256, 300])
+    def test_sweep_point(self, estimates, k, dim):
+        # Four dim x dim complex matrices at once, 64*dim^2 bytes: the blocks with the
+        # Hermiticity check's temporaries, then the blocks with their one stacked, shifted
+        # copy. No parity matrix is built. The Hermiticity check's a - a^dag reads a transposed
+        # operand through numpy's buffer of 8192 complex entries, 2**17 bytes beside them.
+        base = ModelParams(alpha=0.7, omega=1.0, g=0.3 + 0.1j, k=k, dim=dim)
+        spec = spectra.SweepSpec(base=base, param="g", lo=0.0, hi=0.3, steps=2, levels=2)
+        peak, rows = traced_peak(lambda: spectra.sweep(spec))
+        assert len(rows) == 2 * 2 * 2
+        assert peak <= 64 * dim**2 + 64 * dim + 2**18
+        assert estimates and peak <= min(estimates) == 128 * dim**2
 
     @pytest.mark.parametrize("dim", [128, 256, 300])
     @pytest.mark.parametrize("dtype", [np.int64, np.complex128])

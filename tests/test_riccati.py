@@ -109,18 +109,18 @@ class TestVerification:
 
     def test_spectra_match_filled_for_passing_candidate(self):
         params = seeded_params(4, 2, 16)
-        blocks, x = build_blocks(params), np.diag(generalized_parity_signs(2, 16))
-        assert verify_involution_solution(blocks, x, params=params).passed
-        assert _spectra_match(blocks, x) <= 1e-10
+        blocks, signs = build_blocks(params), generalized_parity_signs(2, 16)
+        assert verify_involution_solution(blocks, np.diag(signs), params=params).passed
+        assert _spectra_match(blocks, signs) <= 1e-10
 
     def test_model_whose_squares_overflow_passes(self):
         # ||h_plus||^2 is past the float64 range at 1e200; the norms are not.
         params = ModelParams(alpha=1.0, omega=1e200, g=1e200, k=1, dim=4)
-        blocks, x = build_blocks(params), np.diag(generalized_parity_signs(1, 4))
-        report = verify_involution_solution(blocks, x)
+        blocks, signs = build_blocks(params), generalized_parity_signs(1, 4)
+        report = verify_involution_solution(blocks, np.diag(signs))
         assert report.passed and report.relative_residual == 0.0
         assert report.involution_defect == report.intertwining_defect == 0.0
-        assert _spectra_match(blocks, x) <= 1e-12 * 1e200
+        assert _spectra_match(blocks, signs) <= 1e-12 * 1e200
 
     def test_model_whose_norm_scale_overflows_is_refused(self):
         # ||h_plus|| and ||h_minus|| are past the float64 range; the identity is no
