@@ -118,12 +118,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(chunks, out: str | None) -> None:
-    """Write text chunks, as they are produced, to ``out`` or stdout."""
-    if out is None:
-        sys.stdout.writelines(chunks)
-    else:
-        with open(out, "w", encoding="ascii") as fh:
+    """Write byte chunks, as they are produced, to ``out`` or stdout.
+
+    Both are written in binary mode, so line ends are "\n" on every platform.
+    A stdout with no binary layer, such as a StringIO, is given ASCII text.
+    """
+    if out is not None:
+        with open(out, "wb") as fh:
             fh.writelines(chunks)
+        return
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
+        return
+    sys.stdout.flush()  # text written before stays first
+    buffer.writelines(chunks)
+    buffer.flush()
 
 
 def _params_from(args) -> ModelParams:
@@ -147,7 +157,7 @@ def _cmd_verify(args) -> int:
             # temporaries and its rows of text stay within build_blocks' estimate, so no
             # step of its own is estimated.
             dump_matrix(residual(blocks, np.diag(signs.astype(np.complex128))), args.dump)
-    _emit([report.to_json() + "\n"], args.out)
+    _emit([(report.to_json() + "\n").encode("ascii")], args.out)
     return 0 if report.passed else 1
 
 
@@ -156,12 +166,12 @@ _TABLE_ROWS = 4096
 
 
 def _parity_rows(k: int, signs: np.ndarray):
-    """The parity table's text: the header, then chunks of ``_TABLE_ROWS`` rows."""
-    yield "p,n,l,sign\n"
+    """The parity table's ASCII bytes: the header, then chunks of ``_TABLE_ROWS`` rows."""
+    yield b"p,n,l,sign\n"
     for start in range(0, signs.size, _TABLE_ROWS):
         chunk = signs[start : start + _TABLE_ROWS].tolist()
         yield "".join([f"{p},{p // k},{p % k + 1},{sign:+d}\n"
-                       for p, sign in enumerate(chunk, start)])
+                       for p, sign in enumerate(chunk, start)]).encode("ascii")
 
 
 def _cmd_parity_table(args) -> int:
@@ -183,7 +193,8 @@ def _cmd_parity_table(args) -> int:
 def _cmd_spectrum(args) -> int:
     levels = sector_spectrum(_params_from(args), args.levels)
     rows = [f"{b},{i},{w:.16e}\n" for b, block in zip("+-", levels) for i, w in enumerate(block)]
-    _emit(["# method = sector-tridiagonal\nblock,level,eigenvalue\n", *rows], args.out)
+    text = "".join(["# method = sector-tridiagonal\nblock,level,eigenvalue\n", *rows])
+    _emit([text.encode("ascii")], args.out)
     return 0
 
 
@@ -192,7 +203,7 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(base=params, param=args.param, lo=args.lo, hi=args.hi,
                      steps=args.steps, levels=args.levels)
     rows = sweep(spec)
-    _emit([sweep_csv(rows)], args.out)
+    _emit([sweep_csv(rows).encode("ascii")], args.out)
     return 0
 
 

@@ -26,10 +26,12 @@ is no step-size parameter to tune: the state is rotated into the block
 frame with the closed-form inverse transform, its coefficients on every
 sector's eigenvectors are taken once, each picks up the exact phase
 exp(-i*w*t), and the result is rotated back. States are built one span of
-time steps at a time, so a streamed trajectory takes memory independent of
-the step count, apart from the 8-byte time grid. The parity is diagonal
-with entries +-1, so both frame changes are elementwise sign flips on the
-sign vector s:
+time steps at a time, in buffers allocated once per call, so a streamed
+trajectory takes memory independent of the step count, apart from the
+8-byte time grid. ``krabi evolve`` streams the trajectory CSV as ASCII
+bytes; :func:`trajectory_chunks` and :func:`trajectory_csv` decode them to
+text. The parity is diagonal with entries +-1, so both frame changes are
+elementwise sign flips on the sign vector s:
 
     block frame:    ((psi_u + s*psi_l) / 2, (psi_l - s*psi_u) / 2)
     physical frame: (b_u - s*b_l, s*b_u + b_l)
@@ -47,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._format import WORDS, format_fields
+from ._format import WORDS, Workspace, format_fields
 from ._sectors import (SectorSystem, _verified_signs, fock_mask, sector_axes, sector_eigensystem,
                        sector_levels, to_sectors)
 from .errors import ShapeError, _levels, _number, _require_memory, _steps
@@ -205,6 +207,12 @@ def _propagator(system: SectorSystem, state: np.ndarray, dt: float, steps: int):
     trajectory is D * (u @ (c * exp(-i w t))), taken for all 2k sectors at
     once. Row 0 is ``state`` exactly. Raises ValueError, before any state is
     built, unless every phase w*t up to t = steps*dt is finite.
+
+    A span holds at most ``_steps_per(2*dim)[1]`` steps. Its phase table and
+    sector trajectory are built in two buffers allocated here, once, for a
+    whole span (a shorter span uses the start of each), and its states are
+    written over the spent table. So the states returned are overwritten by
+    the next call.
     """
     signs, phase, w, u = system
     dim, k = signs.size, w.shape[1]
@@ -224,20 +232,27 @@ def _propagator(system: SectorSystem, state: np.ndarray, dt: float, steps: int):
         c[sector] = np.ascontiguousarray(u[sector].T, dtype=np.complex128) @ v[sector][:, None]
     column = signs[:, None]
 
+    span = min(_steps_per(2 * dim)[1], steps + 1)
+    # A step of the table, and of the trajectory, holds a value for each of the
+    # 2*k*n sector levels; a state's 2*dim components fit in the same room.
+    buffers = np.empty((2, levels.size * span), dtype=np.complex128)
+
     def states_at(start: int, stop: int) -> np.ndarray:
         times = np.arange(start, stop, dtype=np.float64) * dt
+        table, trajectory = buffers[:, : levels.size * times.size]
+        table = table.reshape(levels.shape + times.shape)
+        trajectory = trajectory.reshape(2, -1, times.size)
         # The phase table, then c * table (table * c rounds differently), in one buffer.
-        table = np.multiply(-1j, levels[..., None] * times)
+        np.multiply(-1j, levels[..., None] * times, out=table)
         np.exp(table, out=table)
         np.multiply(c, table, out=table)
-        trajectory = np.empty((2, u.shape[-1] * k, times.size), dtype=np.complex128)
         # Real u times complex table: one real product over (re, im) columns,
         # written straight into each sector's rows.
         np.matmul(u, table.view(np.float64),
                   out=sector_axes(trajectory, k, axis=1).view(np.float64))
         top, bottom = trajectory[:, :dim]
         trajectory[:, :dim] *= phase[:, None]
-        states = np.empty((times.size, 2 * dim), dtype=np.complex128)
+        states = table.reshape(-1)[: 2 * dim * times.size].reshape(times.size, 2 * dim)
         upper, lower = states[:, :dim].T, states[:, dim:].T
         np.subtract(top, np.multiply(column, bottom, out=upper), out=upper)
         np.add(np.multiply(column, top, out=lower), bottom, out=lower)
@@ -272,8 +287,8 @@ def evolve(params: ModelParams, spec: EvolutionSpec) -> tuple[np.ndarray, np.nda
     return times, states
 
 
-def _evolve_csv(params: ModelParams, dt: float, steps: int, initial_state=None) -> Iterator[str]:
-    """``trajectory_chunks(*evolve(...))``, propagating one span at a time.
+def _evolve_csv(params: ModelParams, dt: float, steps: int, initial_state=None) -> Iterator[bytes]:
+    """``trajectory_chunks(*evolve(...))`` as ASCII bytes, propagating one span at a time.
 
     Starts from ``initial_state`` or, when it is None, from the ground state,
     taken from the same sector eigensystem as the evolution.
@@ -289,7 +304,7 @@ def _evolve_csv(params: ModelParams, dt: float, steps: int, initial_state=None) 
     return _csv_chunks(times, states_at, 2 * params.dim)
 
 
-_TRAJECTORY_HEADER = "t,component_index,re,im\n"
+_TRAJECTORY_HEADER = b"t,component_index,re,im\n"
 #: Values formatted per chunk, at most: bounds the chunks' working set.
 _CHUNK_VALUES = 4096
 #: Complex values propagated per span of whole chunks, about: bounds evolve's working set.
@@ -304,15 +319,17 @@ def trajectory_chunks(times, states) -> Iterator[str]:
     Joined, the chunks are :func:`trajectory_csv`. A block of time steps (at
     most ``_CHUNK_VALUES`` values, at least one step) is laid out as a
     fixed-width matrix of uint32 words, one row per line with zero-padded
-    fields, and compacted once. Floats are formatted by a vectorized kernel
-    whose bytes equal ``'%.16e' % x``. Raises ShapeError unless ``times`` is
-    1-D and ``states`` a 2-D (times x components) array with one row per time.
+    fields, and compacted once into ASCII bytes, which are decoded here.
+    Floats are formatted by a vectorized kernel whose bytes equal
+    ``'%.16e' % x``. Raises ShapeError unless ``times`` is 1-D and ``states``
+    a 2-D (times x components) array with one row per time.
     """
     states = np.ascontiguousarray(states, dtype=np.complex128)
     times = np.asarray(times, dtype=np.float64)
     if states.ndim != 2 or times.shape != states.shape[:1]:
         raise ShapeError(f"got times of shape {times.shape} for states of shape {states.shape}")
-    return _csv_chunks(times, lambda start, stop: states[start:stop], states.shape[-1])
+    chunks = _csv_chunks(times, lambda start, stop: states[start:stop], states.shape[-1])
+    return (chunk.decode("ascii") for chunk in chunks)
 
 
 def _steps_per(comps: int) -> tuple[int, int]:
@@ -321,9 +338,13 @@ def _steps_per(comps: int) -> tuple[int, int]:
     return chunk, chunk * max(1, _SPAN_VALUES // (chunk * comps))
 
 
-def _csv_chunks(times: np.ndarray, states_at, comps: int) -> Iterator[str]:
-    """Chunks of :func:`trajectory_chunks`; ``states_at(start, stop)`` gives the
-    states of ``times[start:stop]`` and is asked for one span at a time."""
+def _csv_chunks(times: np.ndarray, states_at, comps: int) -> Iterator[bytes]:
+    """Chunks of :func:`trajectory_chunks` as ASCII bytes; ``states_at(start, stop)``
+    gives the states of ``times[start:stop]`` and is asked for one span at a time.
+
+    The row buffer and the kernel's work arrays are allocated once per call, and
+    the kernel writes each chunk's fields straight into the rows' field slots.
+    """
     yield _TRAJECTORY_HEADER
     steps = len(times)
     if steps == 0 or comps == 0:
@@ -339,15 +360,16 @@ def _csv_chunks(times: np.ndarray, states_at, comps: int) -> Iterator[str]:
     rows[:, :, WORDS:values_at] = indices.reshape(comps, index_words)
     pairs = rows[:, :, values_at:].reshape(block, comps, 2, WORDS + 1)
     pairs[:, :, :, WORDS] = _SEPARATORS
+    work = Workspace(max(block * comps * 2, min(span, steps)))
     for first in range(0, steps, span):
         last = min(first + span, steps)
-        time_fields = format_fields(times[first:last])
+        time_fields = format_fields(times[first:last], work=work)
         values = states_at(first, last).view(np.float64).reshape(last - first, comps, 2)
         for start in range(0, last - first, block):
             n = min(block, last - first - start)
             rows[:n, :, :WORDS] = time_fields[start : start + n, None, :]
-            format_fields(values[start : start + n], out=pairs[:n, :, :, :WORDS])
-            yield rows[:n].tobytes().translate(None, b"\0").decode("ascii")
+            format_fields(values[start : start + n], out=pairs[:n, :, :, :WORDS], work=work)
+            yield rows[:n].tobytes().translate(None, b"\0")
 
 
 def trajectory_csv(times, states) -> str:

@@ -1,6 +1,8 @@
 """CLI contract: subcommands, exit codes, error lines, byte determinism."""
 
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -346,11 +348,38 @@ class TestEvolve:
         assert len(err.splitlines()) == 1 and err.endswith("\n")
 
     def test_stdout_and_out_file_bytes_match(self, capsys, tmp_path):
+        path, state_path = tmp_path / "trajectory.csv", tmp_path / "state.txt"
+        # k = 1..4 with k | dim, then k = 3 with dim = 10; each from the ground state and
+        # from a state file.
+        for k, dim in [(1, 6), (2, 8), (3, 12), (4, 16), (3, 10)]:
+            state = np.random.default_rng(dim).normal(size=(2 * dim, 2)).view(complex).ravel()
+            dump_vector(state / np.linalg.norm(state), state_path)
+            for source in ("ground", str(state_path)):
+                argv = ["evolve", "--k", str(k), "--dim", str(dim), "--alpha", "0.4",
+                        "--omega", "1", "--g", "0.3-0.1i", "--t-max", "1.0", "--steps", "4",
+                        "--state", source]
+                code, printed, _ = invoke(capsys, argv)
+                assert code == 0 and len(printed.splitlines()) == 1 + 5 * 2 * dim
+                code, out, _ = invoke(capsys, argv + ["--out", str(path)])
+                assert code == 0 and out == ""
+                assert path.read_bytes() == printed.encode("ascii")
+
+    def test_stdout_bytes_at_the_file_descriptor(self, capfd, tmp_path):
+        # Written to sys.stdout's binary layer, after text already printed to it.
         path = tmp_path / "trajectory.csv"
-        _, printed, _ = invoke(capsys, self.ARGS)
-        code, out, _ = invoke(capsys, self.ARGS + ["--out", str(path)])
-        assert code == 0 and out == ""
-        assert path.read_bytes() == printed.encode("ascii")
+        print("before")
+        assert run(self.ARGS) == 0
+        print("after")
+        printed = capfd.readouterr().out
+        assert run(self.ARGS + ["--out", str(path)]) == 0
+        assert printed == "before\n" + path.read_text(encoding="ascii") + "after\n"
+
+    def test_text_only_stdout_gets_the_same_text(self, capsys, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        assert run(self.ARGS + ["--out", str(path)]) == 0
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            assert run(self.ARGS) == 0
+        assert text.getvalue().encode("ascii") == path.read_bytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_ground_state_is_lowest_eigenvector(self, capsys, k):
@@ -429,6 +458,25 @@ class TestEvolve:
         code, _, err = invoke(capsys, self.ARGS + ["--state", "/nonexistent/state.txt"])
         assert code == 2
         assert err.startswith("error:")
+
+
+class TestStdoutAndOutFile:
+    """Every command writes the same bytes to stdout and to --out."""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", *MODEL, "--levels", "4"],
+        ["sweep", *MODEL, "--levels", "2", "--param", "alpha", "--lo", "0", "--hi", "1",
+         "--steps", "3"],
+        ["verify", *MODEL],
+        ["verify", *MODEL, "--spectra"],
+        ["verify", *MODEL, "--candidate", "p"],
+        ["parity-table", "--k", "3", "--dim", "10"],
+    ], ids=["spectrum", "sweep", "verify", "verify-spectra", "verify-failing", "parity-table"])
+    def test_bytes_match(self, capsys, tmp_path, argv):
+        path = tmp_path / "out.txt"
+        code, printed, _ = invoke(capsys, argv)
+        assert invoke(capsys, argv + ["--out", str(path)])[:2] == (code, "")
+        assert printed and path.read_bytes() == printed.encode("ascii")
 
 
 class TestNegativeLiterals:

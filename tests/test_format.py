@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krabi._format import WIDTH, format_fields, vector_fields
+from krabi import spectra
+from krabi._format import WIDTH, Workspace, format_fields, vector_fields
 from krabi.model import ModelParams
 from krabi.spectra import EvolutionSpec, evolve, ground_state, trajectory_csv
 
@@ -151,3 +152,82 @@ class TestFallbackRate:
         values = states.view(np.float64)
         fallback = vector_fields(values)[1].sum() + vector_fields(times)[1].sum()
         assert fallback < 1e-3 * (values.size + times.size)
+
+
+def ordinary_block():
+    """4096 values of an evolved trajectory (8 steps of 256 components, re and im):
+    nonzero, in range and, as the assertion checks, all on the vector path."""
+    params = ModelParams(alpha=0.7, omega=1.1, g=0.2 - 0.1j, k=1, dim=128)
+    rng = np.random.default_rng(30)
+    initial = rng.normal(size=256) + 1j * rng.normal(size=256)
+    spec = EvolutionSpec(initial_state=initial / np.linalg.norm(initial), dt=0.015, steps=7)
+    values = evolve(params, spec)[1].view(np.float64).ravel()
+    assert values.size == 4096 and not vector_fields(values)[1].any()
+    return values
+
+
+#: One value for each case the kernel handles only when a call holds one.
+RARE = {
+    "+0": 0.0,
+    "-0": -0.0,
+    "smallest-subnormal": 5e-324,
+    "below-1e-280": 1e-281,
+    "above-1e280": 1e281,
+    "nan": math.nan,
+    "inf": math.inf,
+    "exact-tie": float(exact_ties()[0]),
+    # 9.95209450162546314999999982...e-10: 2e-8 of a 17th-digit unit below a decimal tie,
+    # where the scale 10**25 is not a double.
+    "near-tie": 9.952094501625463e-10,
+    # The largest double below 1e-5, whose log10 is -5.0: scaled for that decade it
+    # rounds up to 10**16, into the next one, though '%.16e' keeps it below 1e-5.
+    "next-decade": float(np.nextafter(1e-5, 0)),
+}
+
+
+class TestGuardedBranches:
+    """Each rare value, alone at the start, middle or end of an ordinary 4096-value
+    block, through the kernel and through the trajectory writer."""
+
+    CASES = [("none", None)] + [(name, at) for name in RARE for at in (0, 2048, 4095)]
+
+    @pytest.fixture(scope="class")
+    def ordinary(self):
+        return ordinary_block()
+
+    @staticmethod
+    def block(ordinary, name, at):
+        values = ordinary.copy()
+        if at is not None:
+            values[at] = RARE[name]
+        return values
+
+    def test_each_value_takes_its_branch(self):
+        fallback = vector_fields(np.array(list(RARE.values())))[1]
+        # Zeros and exact ties stay on the vector path; the rest go to Python's %.
+        assert dict(zip(RARE, fallback.tolist())) == {
+            name: name not in ("+0", "-0", "exact-tie") for name in RARE}
+        assert np.log10(RARE["next-decade"]) == -5.0
+        assert kernel_lines([RARE["next-decade"]]) == "9.9999999999999991e-06\n"
+
+    @pytest.mark.parametrize("name,at", CASES, ids=[f"{n}-{a}" for n, a in CASES])
+    def test_format_fields(self, ordinary, name, at):
+        values = self.block(ordinary, name, at)
+        work = Workspace(values.size)
+        got = field_lines(format_fields(values, work=work))
+        # The same work arrays then format the ordinary block: nothing carries over.
+        again = field_lines(format_fields(ordinary, work=work))
+        assert got == python_lines(values) and again == python_lines(ordinary)
+
+    @pytest.mark.parametrize("name,at", CASES, ids=[f"{n}-{a}" for n, a in CASES])
+    def test_csv_chunks(self, ordinary, name, at):
+        # Two chunks of 8 steps of 256 components: the rare value, then the ordinary block.
+        values = np.concatenate([self.block(ordinary, name, at), ordinary])
+        states = values.view(np.complex128).reshape(16, 256)
+        times = np.arange(16) * 0.015
+        got = b"".join(spectra._csv_chunks(times, lambda start, stop: states[start:stop], 256))
+        lines = ["t,component_index,re,im"] + [
+            "%.16e,%d,%.16e,%.16e" % (t, idx, z.real, z.imag)
+            for t, state in zip(times.tolist(), states.tolist()) for idx, z in enumerate(state)
+        ]
+        assert got == ("\n".join(lines) + "\n").encode("ascii")

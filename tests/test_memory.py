@@ -278,3 +278,24 @@ class TestEstimates:
         dim = 200000
         peak, signs = traced_peak(lambda: build(dim))
         assert signs.shape == (dim,) and peak <= 8 * dim + 4096
+
+
+class TestStreamedEvolve:
+    def test_cli_peak_does_not_grow_with_steps(self, capsys, tmp_path):
+        # krabi evolve --out streams its CSV: the span buffers and the formatter's work
+        # arrays are allocated once per call, so ten times the steps adds only the
+        # 8-byte time grid, well within one span's three buffers.
+        dim = 256
+        path = tmp_path / "trajectory.csv"
+
+        def peak(steps):
+            argv = ["evolve", *model_argv(2, dim), "--t-max", "1", "--steps", str(steps),
+                    "--out", str(path)]
+            traced, code = traced_peak(lambda: run(argv))
+            assert code == 0 and capsys.readouterr() == ("", "")
+            assert path.stat().st_size > (steps + 1) * 2 * dim * 50  # every row written
+            return traced
+
+        peak(200)  # builds the cached parser and the formatter's tables
+        span_buffers = 3 * 16 * 2 * dim * spectra._steps_per(2 * dim)[1]
+        assert abs(peak(2000) - peak(200)) <= span_buffers

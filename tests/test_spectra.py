@@ -477,11 +477,11 @@ class TestStreamedEvolve:
         params = seeded_params(k + 10, k, dim)
         steps = three_spans(dim)
         initial = ground_state(params) if state == "ground" else random_state(k, dim)
-        streamed = "".join(spectra._evolve_csv(params, 0.05, steps,
-                                               None if state == "ground" else initial))
+        streamed = b"".join(spectra._evolve_csv(params, 0.05, steps,
+                                                None if state == "ground" else initial))
         spec = EvolutionSpec(initial_state=initial, dt=0.05, steps=steps)
         # Bytes, not str: pytest's diff of two long texts takes minutes.
-        assert streamed.encode() == trajectory_csv(*evolve(params, spec)).encode()
+        assert streamed == trajectory_csv(*evolve(params, spec)).encode()
 
     def test_peak_memory_does_not_grow_with_steps(self):
         params = ModelParams(alpha=0.7, omega=1.0, g=0.03 + 0.01j, k=2, dim=128)
@@ -592,6 +592,7 @@ class TestTrajectoryCsv:
         times = np.arange(steps) * 0.1
         states = rng.normal(size=(steps, comps)) + 1j * rng.normal(size=(steps, comps))
         chunks = list(trajectory_chunks(times, states))
+        assert all(type(chunk) is str for chunk in chunks)
         assert chunks[0] == "t,component_index,re,im\n"
         for chunk in chunks[1:]:
             assert chunk.endswith("\n")
