@@ -1,8 +1,8 @@
 """k-photon Rabi models on truncated Fock spaces.
 
 Builds the k-photon Rabi Hamiltonian in block form, constructs the
-generalized parity operator from the sector decomposition of the Fock
-space, verifies that it solves the associated operator Riccati equation,
+generalized parity operator as its sign vector on the Fock space,
+verifies that it solves the associated operator Riccati equation,
 and uses it to block-diagonalize the model: sector spectra, parameter
 sweeps and decoupled time evolution, each checked against full
 diagonalization.
@@ -11,14 +11,7 @@ diagonalization.
 from .errors import EigenSolverError, HermiticityError, ShapeError, SolutionError
 from .fock import annihilation, creation, number, power_k
 from .model import BlockOperator, ModelParams, build_blocks, build_full, coupling_term
-from .parity import (
-    SectorDecomposition,
-    bosonic_parity_signs,
-    decompose,
-    generalized_parity_signs,
-    partial_parity_signs,
-    two_photon_parity_signs,
-)
+from .parity import bosonic_parity_signs, generalized_parity_signs, two_photon_parity_signs
 from .riccati import (
     DEFAULT_TOLERANCE,
     VerificationReport,
@@ -48,7 +41,6 @@ __all__ = [
     "EvolutionSpec",
     "HermiticityError",
     "ModelParams",
-    "SectorDecomposition",
     "ShapeError",
     "SolutionError",
     "SweepSpec",
@@ -60,12 +52,10 @@ __all__ = [
     "build_full",
     "coupling_term",
     "creation",
-    "decompose",
     "evolve",
     "generalized_parity_signs",
     "ground_state",
     "number",
-    "partial_parity_signs",
     "power_k",
     "residual",
     "sector_spectrum",

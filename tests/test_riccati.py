@@ -10,8 +10,7 @@ from krabi.errors import ShapeError, SolutionError
 from krabi.fock import annihilation, power_k
 from krabi.linalg import eig_hermitian
 from krabi.model import ModelParams, build_blocks, build_full
-from krabi.parity import (bosonic_parity_signs, decompose, generalized_parity_signs,
-                          partial_parity_signs, two_photon_parity_signs)
+from krabi.parity import bosonic_parity_signs, generalized_parity_signs, two_photon_parity_signs
 from krabi.riccati import (
     _spectra_match,
     block_diagonalize,
@@ -19,6 +18,8 @@ from krabi.riccati import (
     similarity_transform,
     verify_involution_solution,
 )
+
+from _oracle import decompose, partial_parity_signs
 
 HAND = ModelParams(alpha=0.5, omega=1.0, g=1.0, k=1, dim=2)
 
