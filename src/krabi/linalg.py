@@ -20,6 +20,8 @@ holds the package's one Hermiticity rule; the eigensolver and
 reader serve matrix and vector files, which hold finite values only: a round
 trip keeps every bit, the writers refuse nan and inf, and the reader refuses
 them as it does a malformed file, with a ShapeError naming its kind and path.
+The reader reads no more text than the file's count allows, and checks that
+read with the size guard first.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import EigenSolverError, HermiticityError, ShapeError
+from .errors import EigenSolverError, HermiticityError, ShapeError, _require_memory
 
 #: Relative tolerance deciding whether a matrix counts as Hermitian.
 HERMITICITY_RTOL = 1e-12
@@ -129,6 +131,15 @@ def _eigh(a, vectors: bool):
 # matrix in row-major order, or the n components of a vector. "%.16e" keeps
 # the 17 significant digits that parse back to the same double.
 
+#: Bytes of the first read of a file, which must hold its count, and of each read after it.
+_PIECE = 1 << 16
+#: Bytes of text a value may take: "%.16e" writes at most 24 and a separator, and the rest
+#: leaves room for ordinary whitespace.
+_VALUE_BYTES = 64
+#: Bytes per value of the parsed text beside it: a token string, its two list slots and
+#: its float.
+_TOKEN_BYTES = 100
+
 
 def _dump(a: np.ndarray, path) -> None:
     """Write the C-contiguous complex128 ``a``: the count ``len(a)``, then its entries, one
@@ -142,24 +153,44 @@ def _dump(a: np.ndarray, path) -> None:
 
 def _load(path, kind: str) -> np.ndarray:
     """The array in a ``kind`` file, (n, n) for "matrix" or (n,) for "vector"; ShapeError naming
-    the kind and path unless it is ASCII text: a count n >= 1, then two finite floats per entry."""
+    the kind and path unless it is ASCII text: a count n >= 1, then two finite floats per entry.
+
+    The first ``_PIECE`` bytes must hold the count. The size guard checks the read that the
+    count implies before the rest is read, and the rest may hold at most ``_VALUE_BYTES`` a
+    value. So a file that never ends, such as /dev/zero, is refused after a bounded read.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        tokens = data.decode("ascii").split()
-        if not tokens:
-            raise ValueError("the file is empty")
-        n = int(tokens[0])
-        shape = (n, n) if kind == "matrix" else (n,)
-        if n < 1 or len(tokens) != 1 + 2 * math.prod(shape):
-            raise ValueError(f"the count {n} is not positive or does not match the "
-                             f"{len(tokens) - 1} values")
-        values = np.array(tokens[1:], dtype=np.float64)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise ValueError(f"value {tokens[bad[0] + 1]!r} is not finite")
-    except ValueError as exc:
-        raise ShapeError(f"{kind} file {str(path)!r} malformed: {exc}") from None
+        try:
+            piece = fh.read(_PIECE)
+            head = piece.split(maxsplit=1)
+            if len(head) < 2 and len(piece) == _PIECE:
+                raise ValueError(f"its first {_PIECE} bytes hold no count")
+            if not head:
+                raise ValueError("the file is empty")
+            n = int(head[0].decode("ascii"))
+            if not 1 <= n < 2**63:
+                raise ValueError(f"the count {n} is not within 1 .. 2**63 - 1")
+            shape = (n, n) if kind == "matrix" else (n,)
+            size = 2 * math.prod(shape)
+            limit = _PIECE + _VALUE_BYTES * size
+            _require_memory(2 * limit + _TOKEN_BYTES * size,
+                            f"reading {kind} file {str(path)!r} of count {n}")
+            data = bytearray(piece)
+            while len(piece) == _PIECE and len(data) <= limit:
+                piece = fh.read(_PIECE)
+                data += piece
+            if len(data) > limit:
+                raise ValueError(f"it holds more than {limit} bytes, past {_VALUE_BYTES} "
+                                 f"a value for the count {n}")
+            tokens = data.decode("ascii").split()
+            if len(tokens) != 1 + size:
+                raise ValueError(f"the count {n} does not match the {len(tokens) - 1} values")
+            values = np.array(tokens[1:], dtype=np.float64)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"value {tokens[bad[0] + 1]!r} is not finite")
+        except ValueError as exc:
+            raise ShapeError(f"{kind} file {str(path)!r} malformed: {exc}") from None
     return values.view(np.complex128).reshape(shape)
 
 

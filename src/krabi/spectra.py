@@ -26,11 +26,11 @@ is no step-size parameter to tune: the state is rotated into the block
 frame with the closed-form inverse transform, its coefficients on every
 sector's eigenvectors are taken once, each picks up the exact phase
 exp(-i*w*t), and the result is rotated back. States are built one span of
-time steps at a time, in buffers allocated once per call, so a streamed
-trajectory takes memory independent of the step count, apart from the
-8-byte time grid. ``krabi evolve`` streams the trajectory CSV as ASCII
-bytes; :func:`trajectory_chunks` and :func:`trajectory_csv` decode them to
-text. The parity is diagonal with entries +-1, so both frame changes are
+time steps at a time, in buffers allocated once per call, each span with
+its own times, so a streamed trajectory takes memory independent of the
+step count. ``krabi evolve`` streams the trajectory CSV as ASCII bytes;
+:func:`trajectory_chunks` and :func:`trajectory_csv` decode them to text.
+The parity is diagonal with entries +-1, so both frame changes are
 elementwise sign flips on the sign vector s:
 
     block frame:    ((psi_u + s*psi_l) / 2, (psi_l - s*psi_u) / 2)
@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -58,6 +59,9 @@ from .model import ModelParams, _require_blocks_memory, build_blocks
 from .riccati import _decoupled_levels
 
 _SWEEPABLE = ("g", "alpha", "omega")
+#: Bytes a sweep row takes, at most: its tuple and numbers, then its line in sweep_csv's
+#: list, joined text and ASCII bytes; tracemalloc sees about 320.
+_SWEEP_ROW_BYTES = 400
 
 
 @dataclass(frozen=True)
@@ -146,8 +150,12 @@ def sweep(spec: SweepSpec) -> list:
     verified on the band at each point, as in :func:`sector_spectrum`; the
     two dense blocks, assembled exactly Hermitian and shifted by +-alpha*s on
     one stacked copy, are then solved in one call, for eigenvalues only.
+    The size guard checks the dense blocks, then the grid and the rows with
+    the :func:`sweep_csv` text of them, before the first point.
     """
     _require_blocks_memory(spec.base.dim)  # before the first point's band
+    _require_memory(spec.steps * (8 + 2 * spec.levels * _SWEEP_ROW_BYTES),
+                    f"recording {2 * spec.levels} levels at {spec.steps} grid points")
     rows = []
     for value in np.linspace(spec.lo, spec.hi, spec.steps):
         value = float(value)
@@ -200,19 +208,19 @@ def _check_length(params: ModelParams, spec: EvolutionSpec) -> None:
 
 
 def _propagator(system: SectorSystem, state: np.ndarray, dt: float, steps: int):
-    """``states_at(start, stop)``: physical-frame states at times j*dt, start <= j < stop.
+    """Spans ``(times, states)``, in order, of the physical-frame states at t_j = j*dt, j <= steps.
 
     Every sector keeps its eigenpairs (w, u) and the coefficients
     c = u.T @ to_sectors(conj(D) * b) of the block-frame state b; a block's
     trajectory is D * (u @ (c * exp(-i w t))), taken for all 2k sectors at
-    once. Row 0 is ``state`` exactly. Raises ValueError, before any state is
-    built, unless every phase w*t up to t = steps*dt is finite.
+    once. Row 0 is ``state`` exactly. Raises ValueError here, before any span
+    is asked for, unless every phase w*t up to t = steps*dt is finite.
 
     A span holds at most ``_steps_per(2*dim)[1]`` steps. Its phase table and
     sector trajectory are built in two buffers allocated here, once, for a
     whole span (a shorter span uses the start of each), and its states are
-    written over the spent table. So the states returned are overwritten by
-    the next call.
+    written over the spent table. So each span's states are overwritten by
+    the next span.
     """
     signs, phase, w, u = system
     dim, k = signs.size, w.shape[1]
@@ -237,30 +245,31 @@ def _propagator(system: SectorSystem, state: np.ndarray, dt: float, steps: int):
     # 2*k*n sector levels; a state's 2*dim components fit in the same room.
     buffers = np.empty((2, levels.size * span), dtype=np.complex128)
 
-    def states_at(start: int, stop: int) -> np.ndarray:
-        times = np.arange(start, stop, dtype=np.float64) * dt
-        table, trajectory = buffers[:, : levels.size * times.size]
-        table = table.reshape(levels.shape + times.shape)
-        trajectory = trajectory.reshape(2, -1, times.size)
-        # The phase table, then c * table (table * c rounds differently), in one buffer.
-        np.multiply(-1j, levels[..., None] * times, out=table)
-        np.exp(table, out=table)
-        np.multiply(c, table, out=table)
-        # Real u times complex table: one real product over (re, im) columns,
-        # written straight into each sector's rows.
-        np.matmul(u, table.view(np.float64),
-                  out=sector_axes(trajectory, k, axis=1).view(np.float64))
-        top, bottom = trajectory[:, :dim]
-        trajectory[:, :dim] *= phase[:, None]
-        states = table.reshape(-1)[: 2 * dim * times.size].reshape(times.size, 2 * dim)
-        upper, lower = states[:, :dim].T, states[:, dim:].T
-        np.subtract(top, np.multiply(column, bottom, out=upper), out=upper)
-        np.add(np.multiply(column, top, out=lower), bottom, out=lower)
-        if start == 0:
-            states[0] = state  # t = 0 is the input, exactly
-        return states
+    def spans():
+        for start in range(0, steps + 1, span):
+            times = np.arange(start, min(start + span, steps + 1), dtype=np.float64) * dt
+            table, trajectory = buffers[:, : levels.size * times.size]
+            table = table.reshape(levels.shape + times.shape)
+            trajectory = trajectory.reshape(2, -1, times.size)
+            # The phase table, then c * table (table * c rounds differently), in one buffer.
+            np.multiply(-1j, levels[..., None] * times, out=table)
+            np.exp(table, out=table)
+            np.multiply(c, table, out=table)
+            # Real u times complex table: one real product over (re, im) columns,
+            # written straight into each sector's rows.
+            np.matmul(u, table.view(np.float64),
+                      out=sector_axes(trajectory, k, axis=1).view(np.float64))
+            top, bottom = trajectory[:, :dim]
+            trajectory[:, :dim] *= phase[:, None]
+            states = table.reshape(-1)[: 2 * dim * times.size].reshape(times.size, 2 * dim)
+            upper, lower = states[:, :dim].T, states[:, dim:].T
+            np.subtract(top, np.multiply(column, bottom, out=upper), out=upper)
+            np.add(np.multiply(column, top, out=lower), bottom, out=lower)
+            if start == 0:
+                states[0] = state  # t = 0 is the input, exactly
+            yield times, states
 
-    return states_at
+    return spans()
 
 
 def evolve(params: ModelParams, spec: EvolutionSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -279,11 +288,11 @@ def evolve(params: ModelParams, spec: EvolutionSpec) -> tuple[np.ndarray, np.nda
     # The states, six span-sized buffers, and one sector's eigenvectors taken as complex.
     _require_memory(16 * comps * (spec.steps + 1 + 6 * span) + 16 * n * n,
                     f"evolving {spec.steps + 1} states of {comps} components")
-    states_at = _propagator(sector_eigensystem(params), spec.initial_state, spec.dt, spec.steps)
-    times = np.arange(spec.steps + 1, dtype=np.float64) * spec.dt
+    spans = _propagator(sector_eigensystem(params), spec.initial_state, spec.dt, spec.steps)
+    times = np.empty(spec.steps + 1, dtype=np.float64)
     states = np.empty((times.size, comps), dtype=np.complex128)
-    for start in range(0, times.size, span):
-        states[start : start + span] = states_at(start, min(start + span, times.size))
+    for start, (span_times, span_states) in zip(range(0, times.size, span), spans):
+        times[start : start + span], states[start : start + span] = span_times, span_states
     return times, states
 
 
@@ -299,9 +308,7 @@ def _evolve_csv(params: ModelParams, dt: float, steps: int, initial_state=None) 
     system = sector_eigensystem(params)
     if initial_state is None:
         spec = EvolutionSpec(initial_state=_ground_state(system), dt=dt, steps=steps)
-    times = np.arange(steps + 1, dtype=np.float64) * spec.dt
-    states_at = _propagator(system, spec.initial_state, spec.dt, steps)
-    return _csv_chunks(times, states_at, 2 * params.dim)
+    return _csv_chunks(_propagator(system, spec.initial_state, spec.dt, steps), 2 * params.dim)
 
 
 _TRAJECTORY_HEADER = b"t,component_index,re,im\n"
@@ -328,8 +335,9 @@ def trajectory_chunks(times, states) -> Iterator[str]:
     times = np.asarray(times, dtype=np.float64)
     if states.ndim != 2 or times.shape != states.shape[:1]:
         raise ShapeError(f"got times of shape {times.shape} for states of shape {states.shape}")
-    chunks = _csv_chunks(times, lambda start, stop: states[start:stop], states.shape[-1])
-    return (chunk.decode("ascii") for chunk in chunks)
+    span = _steps_per(max(states.shape[-1], 1))[1]  # no components: no rows, any span
+    spans = ((times[i : i + span], states[i : i + span]) for i in range(0, times.size, span))
+    return (chunk.decode("ascii") for chunk in _csv_chunks(spans, states.shape[-1]))
 
 
 def _steps_per(comps: int) -> tuple[int, int]:
@@ -338,35 +346,34 @@ def _steps_per(comps: int) -> tuple[int, int]:
     return chunk, chunk * max(1, _SPAN_VALUES // (chunk * comps))
 
 
-def _csv_chunks(times: np.ndarray, states_at, comps: int) -> Iterator[bytes]:
-    """Chunks of :func:`trajectory_chunks` as ASCII bytes; ``states_at(start, stop)``
-    gives the states of ``times[start:stop]`` and is asked for one span at a time.
+def _csv_chunks(spans, comps: int) -> Iterator[bytes]:
+    """Chunks of :func:`trajectory_chunks` as ASCII bytes, from ``(times, states)`` spans.
 
-    The row buffer and the kernel's work arrays are allocated once per call, and
-    the kernel writes each chunk's fields straight into the rows' field slots.
+    The row buffer and the kernel's work arrays are allocated once per call, sized by the
+    first span (every caller's longest), and the kernel writes each chunk's fields straight
+    into the rows' field slots.
     """
     yield _TRAJECTORY_HEADER
-    steps = len(times)
-    if steps == 0 or comps == 0:
+    spans = iter(spans)
+    first = next(spans, None) if comps else None
+    if first is None:
         return
     # Row: t | ",idx," zero-padded to whole words | re | "," | im | "\n".
     indices = np.array([f",{i}," for i in range(comps)], dtype=bytes)
     index_words = -(-indices.dtype.itemsize // 4)
     indices = indices.astype(f"S{4 * index_words}").view(np.uint32)
-    chunk, span = _steps_per(comps)
-    block = min(steps, chunk)
+    block = min(first[0].size, _steps_per(comps)[0])
     values_at = WORDS + index_words
     rows = np.zeros((block, comps, values_at + 2 * (WORDS + 1)), dtype=np.uint32)
     rows[:, :, WORDS:values_at] = indices.reshape(comps, index_words)
     pairs = rows[:, :, values_at:].reshape(block, comps, 2, WORDS + 1)
     pairs[:, :, :, WORDS] = _SEPARATORS
-    work = Workspace(max(block * comps * 2, min(span, steps)))
-    for first in range(0, steps, span):
-        last = min(first + span, steps)
-        time_fields = format_fields(times[first:last], work=work)
-        values = states_at(first, last).view(np.float64).reshape(last - first, comps, 2)
-        for start in range(0, last - first, block):
-            n = min(block, last - first - start)
+    work = Workspace(max(block * comps * 2, first[0].size))
+    for times, states in chain([first], spans):
+        time_fields = format_fields(times, work=work)
+        values = states.view(np.float64).reshape(times.size, comps, 2)
+        for start in range(0, times.size, block):
+            n = min(block, times.size - start)
             rows[:n, :, :WORDS] = time_fields[start : start + n, None, :]
             format_fields(values[start : start + n], out=pairs[:n, :, :, :WORDS], work=work)
             yield rows[:n].tobytes().translate(None, b"\0")

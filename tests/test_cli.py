@@ -347,6 +347,22 @@ class TestEvolve:
         assert err.startswith(f"error: vector file {str(path)!r} malformed: ")
         assert len(err.splitlines()) == 1 and err.endswith("\n")
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="caps the address space with RLIMIT_AS")
+    def test_endless_state_file_is_refused_after_a_bounded_read(self):
+        # /dev/zero never ends and holds no count. The command runs in a subprocess whose
+        # address space is capped at 512 MB, so a reader that reads on until memory runs
+        # out fails there, within the cap, and not on the test runner.
+        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29)); "
+                "from krabi.cli import main; main()")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(krabi.__path__[0]),
+               "OPENBLAS_NUM_THREADS": "1"}
+        result = subprocess.run([sys.executable, "-c", code, *self.ARGS, "--state", "/dev/zero"],
+                                capture_output=True, env=env, timeout=120)
+        assert (result.returncode, result.stdout) == (2, b"")
+        err = result.stderr.decode("ascii")
+        assert err.startswith("error: vector file '/dev/zero' malformed: ")
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+
     def test_stdout_and_out_file_bytes_match(self, capsys, tmp_path):
         path, state_path = tmp_path / "trajectory.csv", tmp_path / "state.txt"
         # k = 1..4 with k | dim, then k = 3 with dim = 10; each from the ground state and

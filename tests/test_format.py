@@ -225,7 +225,7 @@ class TestGuardedBranches:
         values = np.concatenate([self.block(ordinary, name, at), ordinary])
         states = values.view(np.complex128).reshape(16, 256)
         times = np.arange(16) * 0.015
-        got = b"".join(spectra._csv_chunks(times, lambda start, stop: states[start:stop], 256))
+        got = b"".join(spectra._csv_chunks([(times, states)], 256))
         lines = ["t,component_index,re,im"] + [
             "%.16e,%d,%.16e,%.16e" % (t, idx, z.real, z.imag)
             for t, state in zip(times.tolist(), states.tolist()) for idx, z in enumerate(state)

@@ -156,12 +156,17 @@ MALFORMED = {
     "count-negative": b"-1\n1 0\n",
     "count-float": b"1.0\n1 0\n",
     "count-too-long": b"9" * 5000 + b"\n1 0\n",
+    "count-past-any-file": b"9" * 400 + b"\n1 0\n",
     "too-few-values": b"2\n1 0\n",
     "odd-value-count": b"1\n1 0 0\n",
     "non-numeric": b"1\n1 abc\n",
     "hexadecimal": b"1\n0x1 0\n",
     "non-ascii-digit": "1\n\uff11 0\n".encode(),
     "not-utf8": b"1\n1 0\xff\n",
+    # Past the first read: no count in it, or more text than the count allows.
+    "no-count-in-first-piece": b"\0" * (2 * linalg._PIECE),
+    "blank-first-piece": b" " * linalg._PIECE + b"1\n1 0\n",
+    "too-long-for-its-count": b"1\n1 0\n" + b" " * (linalg._PIECE + 2 * linalg._VALUE_BYTES),
 }
 
 
@@ -222,6 +227,19 @@ class TestSerialization:
         with pytest.raises(ShapeError, match=rf"^{kind} file {re.escape(repr(str(path)))} "
                                              r"malformed: \S"):
             KINDS[kind][1](path)
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_ordinary_whitespace_is_read(self, tmp_path, kind):
+        # Leading blanks, tabs, CRLF line ends and blank lines, up to the per-value bound.
+        dump, load, shape = KINDS[kind]
+        a = np.arange(2 * np.prod(shape(3)), dtype=np.float64).view(np.complex128)
+        a = a.reshape(shape(3)) / 7
+        path = tmp_path / "file.txt"
+        dump(a, path)
+        lines = path.read_text().splitlines()
+        pad = " " * (linalg._VALUE_BYTES - 26)
+        path.write_bytes("".join(f"\t{line}{pad}\r\n\r\n" for line in lines).encode())
+        assert np.array_equal(bits(load(path)), bits(a))
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -2,7 +2,8 @@
 
 Each guarded step (the sector eigensolve, the dense blocks, the full 2*dim
 solve of ``verify --spectra``, the similarity transform, the states of
-``evolve``, and the O(dim) work of plain ``verify`` and of ``parity-table``)
+``evolve``, the O(dim) work of plain ``verify`` and of ``parity-table``, the
+rows of ``sweep`` and the read of a matrix or vector file)
 compares its estimated allocation with the machine's physical memory. Here
 that reading is patched down to a few MB, so every refusal is checked without
 allocating anything large, and each estimate is checked against what
@@ -14,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from krabi import _sectors, cli, errors, model, riccati, spectra
+from krabi import _sectors, cli, errors, linalg, model, riccati, spectra
 from krabi.cli import run
 from krabi.model import ModelParams, build_blocks
 from krabi.parity import bosonic_parity_signs, generalized_parity_signs, two_photon_parity_signs
@@ -68,8 +69,11 @@ class TestRefusal:
          "solving 2 sector matrices of size 1000000"),
         (["sweep", *model_argv(1, 10**6), "--levels", "2", "--param", "g", "--lo", "0",
           "--hi", "0.1", "--steps", "2"], "building the dense blocks at dim = 1000000"),
+        # Small blocks and a grid whose rows and text are past memory.
+        (["sweep", *model_argv(1, 8), "--levels", "2", "--param", "g", "--lo", "0",
+          "--hi", "0.1", "--steps", "100000000"], "recording 4 levels at 100000000 grid points"),
     ], ids=["spectrum", "evolve", "evolve-k4", "verify-spectra", "verify-dump", "verify",
-            "parity-table", "sweep", "spectrum-band", "evolve-band", "sweep-band"])
+            "parity-table", "sweep", "spectrum-band", "evolve-band", "sweep-band", "sweep-rows"])
     def test_one_error_line_before_any_large_allocation(self, capsys, monkeypatch, tmp_path,
                                                         small_memory, argv, what):
         monkeypatch.chdir(tmp_path)
@@ -146,6 +150,19 @@ class TestRefusal:
                                               r"needs about 2560000\d\d\.\d MB, more than the "):
             evolve(params, spec)
 
+    def test_state_file_is_refused_after_its_count(self, capsys, tmp_path, small_memory):
+        # A count of 10**5 entries: 2*10**5 values of at most 64 bytes of text, read and
+        # decoded, and 100 bytes of tokens each: 45.7 MB. Only the first piece is read.
+        path = tmp_path / "state.txt"
+        path.write_bytes(b"100000\n" + b"1 0\n" * 100000)
+        argv = ["evolve", *model_argv(1, 8), "--t-max", "1", "--steps", "2", "--state", str(path)]
+        peak, code = traced_peak(lambda: run(argv))
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: reading vector file {str(path)!r} of count 100000 "
+                              f"needs about 45.7 MB, more than the 4.0 MB of physical memory")
+        assert peak < MEMORY / 4
+
     def test_physical_memory_is_read_once(self):
         assert errors._physical_memory() is errors._physical_memory()
         assert errors._physical_memory() > 0
@@ -161,7 +178,7 @@ class TestEstimates:
         def record(nbytes, request):
             recorded.append(nbytes)
 
-        for module in (_sectors, cli, model, riccati, spectra):
+        for module in (_sectors, cli, linalg, model, riccati, spectra):
             monkeypatch.setattr(module, "_require_memory", record)
         return recorded
 
@@ -218,7 +235,38 @@ class TestEstimates:
         peak, rows = traced_peak(lambda: spectra.sweep(spec))
         assert len(rows) == 2 * 2 * 2
         assert peak <= 64 * dim**2 + 64 * dim + 2**18
+        # The second estimate is the grid's and rows', checked in test_sweep_rows.
+        assert estimates.pop(1) == 2 * (8 + 2 * 2 * spectra._SWEEP_ROW_BYTES)
         assert estimates and peak <= min(estimates) == 128 * dim**2
+
+    @pytest.mark.parametrize("dim,levels,steps", [(8, 8, 1000), (4, 4, 2000), (64, 64, 100)])
+    def test_sweep_rows(self, tmp_path, estimates, dim, levels, steps):
+        # krabi sweep holds the rows while it writes their CSV text and its ASCII bytes;
+        # the dense blocks of one point are alive beside the rows.
+        argv = ["sweep", *model_argv(2, dim), "--levels", str(levels), "--param", "g",
+                "--lo", "0", "--hi", "0.3", "--steps", str(steps), "--out", str(tmp_path / "s")]
+        cli._parser()  # built once per process, outside the trace
+        peak, code = traced_peak(lambda: run(argv))
+        assert code == 0
+        blocks, rows = estimates[:2]
+        assert rows == steps * (8 + 2 * levels * spectra._SWEEP_ROW_BYTES)
+        assert peak <= blocks + rows
+
+    @pytest.mark.parametrize("kind,n", [("vector", 1), ("vector", 300), ("vector", 3000),
+                                        ("matrix", 1), ("matrix", 16), ("matrix", 151)])
+    @pytest.mark.parametrize("pad", [0, 38], ids=["dumped", "padded"])
+    def test_file_read(self, tmp_path, estimates, kind, n, pad):
+        # As dump_vector or dump_matrix writes it, or with each line padded to the per-value
+        # bound of text.
+        a = np.arange(2 * n ** (1 + (kind == "matrix")), dtype=np.float64) / 7
+        a = a.view(np.complex128).reshape((n, n) if kind == "matrix" else n)
+        path = tmp_path / "file.txt"
+        getattr(linalg, f"dump_{kind}")(a, path)
+        if pad:
+            path.write_text("\n".join(line + " " * pad for line in path.read_text().split("\n")))
+        peak, b = traced_peak(lambda: getattr(linalg, f"load_{kind}")(path))
+        assert np.array_equal(a, b)
+        assert len(estimates) == 1 and peak <= estimates[0]
 
     @pytest.mark.parametrize("dim", [128, 256, 300])
     @pytest.mark.parametrize("dtype", [np.int64, np.complex128])
@@ -283,8 +331,8 @@ class TestEstimates:
 class TestStreamedEvolve:
     def test_cli_peak_does_not_grow_with_steps(self, capsys, tmp_path):
         # krabi evolve --out streams its CSV: the span buffers and the formatter's work
-        # arrays are allocated once per call, so ten times the steps adds only the
-        # 8-byte time grid, well within one span's three buffers.
+        # arrays are allocated once per call, and each span carries its own times, so ten
+        # times the steps adds nothing beyond noise, well within one span's three buffers.
         dim = 256
         path = tmp_path / "trajectory.csv"
 
@@ -299,3 +347,18 @@ class TestStreamedEvolve:
         peak(200)  # builds the cached parser and the formatter's tables
         span_buffers = 3 * 16 * 2 * dim * spectra._steps_per(2 * dim)[1]
         assert abs(peak(2000) - peak(200)) <= span_buffers
+
+    def test_first_chunk_takes_no_memory_per_step(self):
+        # The header and the first chunk of 2*10**6 steps: the sector eigensystem, one span's
+        # buffers and the formatter's work arrays. A time grid of every step would be 16 MB.
+        params = ModelParams(alpha=0.7, omega=1.0, g=0.3 + 0.1j, k=2, dim=64)
+        b"".join(spectra._evolve_csv(params, 1e-3, 20))  # fills the formatter's cached tables
+
+        def first_chunk():
+            chunks = spectra._evolve_csv(params, 1e-3, 2 * 10**6)
+            return next(chunks), next(chunks)
+
+        peak, (header, chunk) = traced_peak(first_chunk)
+        assert header == b"t,component_index,re,im\n"
+        assert chunk.startswith(b"0.0000000000000000e+00,0,") and chunk.endswith(b"\n")
+        assert peak < 4e6
